@@ -2,13 +2,14 @@
 //! explores chain4 with the spill engine at a ladder of memory
 //! budgets, asserting byte-identity with the sequential engine at
 //! every rung and reporting time, spill events, and spilled bytes —
-//! then sweeps the *parallel* bounded-memory engine
-//! ([`Engine::SpillWs`]) over budgets × worker counts, every cell
-//! asserted byte-identical too.
+//! then sweeps the *parallel* bounded-memory engine (the multi-thread
+//! route under a budget) over budgets × worker counts, every cell
+//! asserted byte-identical too. The 256 MiB rung is large enough that
+//! chain4 never seals a segment.
 //!
 //! Run with `cargo run --release -p opentla-bench --example spill_sweep`.
 
-use opentla_check::{explore_governed_with, obs, Budget, Engine, ExploreOptions};
+use opentla_check::{explore_governed_with, obs, Budget, ExploreOptions};
 use opentla_check::{JsonlRecorder, RecorderHandle};
 use opentla_queue::{FairnessStyle, QueueChain};
 use std::sync::Arc;
@@ -31,19 +32,13 @@ fn main() {
         base_s
     );
 
-    for budget in [
-        None,
-        Some(64usize << 20),
-        Some(4 << 20),
-        Some(1 << 20),
-        Some(256 << 10),
-    ] {
+    for budget in [256usize << 20, 64 << 20, 4 << 20, 1 << 20, 256 << 10] {
         let obs_path = std::env::temp_dir().join("spill-sweep-obs.jsonl");
         let rec = Arc::new(JsonlRecorder::create(&obs_path).expect("obs file"));
         let handle = RecorderHandle::new(rec.clone());
         let opts = ExploreOptions {
-            engine: Engine::SpillBfs,
-            mem_budget_bytes: budget,
+            threads: Some(1),
+            mem_budget_bytes: Some(budget),
             ..ExploreOptions::default()
         };
         let t = Instant::now();
@@ -73,8 +68,7 @@ fn main() {
         assert_eq!(run.graph.len(), base.graph.len());
         assert_eq!(run.graph.states(), base.graph.states());
         println!(
-            "budget={:>12} time={:.3}s (x{:.2} vs seq_fp) spill_events={} spilled={:.1} MiB",
-            budget.map_or("default".into(), |b| format!("{b}")),
+            "budget={budget:>12} time={:.3}s (x{:.2} vs seq_fp) spill_events={} spilled={:.1} MiB",
             secs,
             secs / base_s,
             spills,
@@ -85,13 +79,12 @@ fn main() {
 
     // Parallel bounded memory: budgets × worker counts. Every cell is
     // the same graph — the table only shows where the time goes.
-    println!("\npar_spill (Engine::SpillWs), budgets x workers:");
-    for budget in [Some(256usize << 10), Some(4 << 20), None] {
-        for workers in [1usize, 2, 4] {
+    println!("\npar_spill, budgets x workers:");
+    for budget in [256usize << 10, 4 << 20, 256 << 20] {
+        for workers in [2usize, 4] {
             let opts = ExploreOptions {
-                engine: Engine::SpillWs,
                 threads: Some(workers),
-                mem_budget_bytes: budget,
+                mem_budget_bytes: Some(budget),
                 ..ExploreOptions::default()
             };
             let t = Instant::now();
@@ -104,8 +97,7 @@ fn main() {
                 assert_eq!(run.graph.edges(id), base.graph.edges(id));
             }
             println!(
-                "budget={:>12} workers={workers} time={:.3}s (x{:.2} vs seq_fp)",
-                budget.map_or("default".into(), |b| format!("{b}")),
+                "budget={budget:>12} workers={workers} time={:.3}s (x{:.2} vs seq_fp)",
                 secs,
                 secs / base_s,
             );

@@ -1,5 +1,5 @@
 //! Records the fair-cycle liveness benchmark trajectory:
-//! `BENCH_liveness.json` at the repository root.
+//! `BENCH_liveness.json` in the working directory.
 //!
 //! Two engines run the same targets over the same pre-explored state
 //! graphs:
@@ -218,7 +218,7 @@ fn main() {
         gate_par.as_secs_f64() * 1e3,
         scenario_json.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_liveness.json");
+    let path = "BENCH_liveness.json";
     std::fs::write(path, &json).expect("write BENCH_liveness.json");
     println!("\nwrote {path}");
 }

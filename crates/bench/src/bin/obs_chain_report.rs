@@ -1,5 +1,5 @@
 //! Writes the chain4 observability run report — `OBS_chain4.jsonl`
-//! at the repository root — by exploring the 4-queue chain under a
+//! in the working directory — by exploring the 4-queue chain under a
 //! [`JsonlRecorder`] with three engines: sequential fingerprinted,
 //! sequential exact, and 4-thread parallel. The stream is validated
 //! against the schema and the three run reports must carry identical
@@ -19,7 +19,7 @@ fn main() {
     let system = QueueChain::new(4, 1, 2, FairnessStyle::Joint)
         .complete_system()
         .expect("chain4 builds");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../OBS_chain4.jsonl");
+    let path = "OBS_chain4.jsonl";
     let recorder = Arc::new(JsonlRecorder::create(path).expect("create OBS_chain4.jsonl"));
     let handle = RecorderHandle::new(recorder.clone());
     for (mode, threads) in [

@@ -3,14 +3,15 @@
 //!
 //! 1. explore chain4 under a tight state budget with checkpointing on
 //!    → the run must exhaust, leaving a resume token and a snapshot
-//!    file (`CKPT_chain4.snap` at the repository root);
+//!    file (`CKPT_chain4.snap` in the working directory);
 //! 2. resume from that snapshot with the budget lifted → the run must
 //!    complete and land exactly on the golden pre-reduction totals
 //!    (54 358 states / 164 736 transitions / depth 55);
 //! 3. the resumed graph must be byte-identical to an uninterrupted
 //!    run's — states, initial states, edges, everything;
-//! 4. the same round trip with the 4-thread level-synchronous parallel
-//!    engine, the 4-worker work-stealing engine, the bounded-memory
+//! 4. the same round trip at 4 threads (the default threaded route,
+//!    which a checkpointing budget keeps on the sequential loop),
+//!    resumed at 4 and at 2 threads, the bounded-memory
 //!    spill engine under a 256 KiB budget, and the *parallel*
 //!    bounded-memory engine (4 work-stealing workers over the spill
 //!    tiers, resumed at 2 workers) — each spill kill lands after at
@@ -27,13 +28,13 @@
 //!    `OBS_resume.jsonl` through a [`JsonlRecorder`], and the stream
 //!    must validate against the observability schema.
 //!
-//! The snapshot files and the JSONL stream are left on disk for CI to
-//! upload as artifacts.
+//! The snapshot files and the JSONL stream are left in the working
+//! directory for CI to upload as artifacts.
 
 use opentla_check::{
-    check_liveness, check_liveness_resumable, explore_governed_with, explore_resumable,
-    obs, Budget, Engine, ExploreOptions, JsonlRecorder, LiveTarget, LivenessOptions,
-    RecorderHandle, StateGraph, Verdict,
+    check_liveness, check_liveness_resumable, explore_governed_with, explore_resumable, obs,
+    Budget, ExploreOptions, JsonlRecorder, LiveTarget, LivenessOptions, RecorderHandle, StateGraph,
+    Verdict,
 };
 use opentla_kernel::Expr;
 use opentla_queue::{FairnessStyle, QueueChain};
@@ -53,10 +54,9 @@ fn assert_identical(label: &str, a: &StateGraph, b: &StateGraph) {
 }
 
 fn main() {
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let obs_path = format!("{root}/OBS_resume.jsonl");
-    let recorder =
-        Arc::new(JsonlRecorder::create(&obs_path).expect("create OBS_resume.jsonl"));
+    // Every output lands in the working directory.
+    let obs_path = "OBS_resume.jsonl";
+    let recorder = Arc::new(JsonlRecorder::create(obs_path).expect("create OBS_resume.jsonl"));
     let handle = RecorderHandle::new(recorder.clone());
 
     let system = QueueChain::new(4, 1, 2, FairnessStyle::Joint)
@@ -73,22 +73,14 @@ fn main() {
         run.graph
     };
 
-    for (label, threads, resume_threads, engine, mem, snap_name) in [
-        ("sequential", 1usize, 1usize, Engine::LevelSync, None, "CKPT_chain4.snap"),
-        ("parallel(4)", 4, 4, Engine::LevelSync, None, "CKPT_chain4_par.snap"),
-        (
-            "work-stealing(4)",
-            4,
-            4,
-            Engine::WorkStealing,
-            None,
-            "CKPT_chain4_ws.snap",
-        ),
+    for (label, threads, resume_threads, mem, snap_path) in [
+        ("sequential", 1usize, 1usize, None, "CKPT_chain4.snap"),
+        ("threaded(4)", 4, 4, None, "CKPT_chain4_par.snap"),
+        ("threaded(4→2)", 4, 2, None, "CKPT_chain4_ws.snap"),
         (
             "spill(256KiB)",
             1,
             1,
-            Engine::SpillBfs,
             Some(256usize << 10),
             "CKPT_chain4_spill.snap",
         ),
@@ -100,17 +92,14 @@ fn main() {
             "par-spill(4→2, 256KiB)",
             4,
             2,
-            Engine::SpillWs,
             Some(256usize << 10),
             "CKPT_chain4_parspill.snap",
         ),
     ] {
-        let snap_path = format!("{root}/{snap_name}");
-        let _ = std::fs::remove_file(&snap_path);
+        let _ = std::fs::remove_file(snap_path);
         let _ = std::fs::remove_dir_all(format!("{snap_path}.segs"));
         let opts = ExploreOptions {
             threads: Some(threads),
-            engine,
             mem_budget_bytes: mem,
             ..ExploreOptions::default()
         };
@@ -119,7 +108,7 @@ fn main() {
         // periodic checkpointing tight enough to fire mid-run.
         let tight = Budget::default()
             .states(20_000)
-            .with_checkpoint(&snap_path, 8_192)
+            .with_checkpoint(snap_path, 8_192)
             .with_recorder(handle.clone());
         let interrupted =
             explore_resumable(&system, &tight, &opts).expect("tight run explores");
@@ -129,11 +118,11 @@ fn main() {
             .expect("tight budget must exhaust with a resume token")
             .clone();
         assert!(
-            std::path::Path::new(&snap_path).exists(),
+            std::path::Path::new(snap_path).exists(),
             "{label}: snapshot file must be written"
         );
         println!(
-            "{label}: exhausted at {} states — snapshot {snap_name} (seq {})",
+            "{label}: exhausted at {} states — snapshot {snap_path} (seq {})",
             interrupted.graph.len(),
             token.seq
         );
@@ -157,7 +146,7 @@ fn main() {
         }
 
         // The recovery: same call, budget lifted — and, on the
-        // par-spill leg, a different worker count than the kill ran.
+        // 4→2 legs, a different worker count than the kill ran.
         let resume_opts = ExploreOptions {
             threads: Some(resume_threads),
             ..opts.clone()
@@ -165,7 +154,7 @@ fn main() {
         let resumed = explore_resumable(
             &system,
             &Budget::unlimited()
-                .with_checkpoint(&snap_path, 8_192)
+                .with_checkpoint(snap_path, 8_192)
                 .with_recorder(handle.clone()),
             &resume_opts,
         )
@@ -196,8 +185,8 @@ fn main() {
         let seq_cx = seq
             .counterexample()
             .expect("chain4 must yield a fair lasso violating ◇FALSE");
-        let live_snap = format!("{root}/CKPT_chain4_live.snap");
-        let _ = std::fs::remove_file(&live_snap);
+        let live_snap = "CKPT_chain4_live.snap";
+        let _ = std::fs::remove_file(live_snap);
 
         let interrupted = check_liveness_resumable(
             &system,
@@ -205,7 +194,7 @@ fn main() {
             &target,
             &Budget::default()
                 .transitions(60_000)
-                .with_checkpoint(&live_snap, 8_192)
+                .with_checkpoint(live_snap, 8_192)
                 .with_recorder(handle.clone()),
             &LivenessOptions::default().threads(1),
         )
@@ -215,7 +204,7 @@ fn main() {
             .resume_token()
             .expect("tight liveness budget must exhaust with a resume token");
         assert!(
-            std::path::Path::new(&live_snap).exists(),
+            std::path::Path::new(live_snap).exists(),
             "liveness snapshot file must be written"
         );
         println!(
@@ -232,7 +221,7 @@ fn main() {
             &reference,
             &target,
             &Budget::unlimited()
-                .with_checkpoint(&live_snap, 8_192)
+                .with_checkpoint(live_snap, 8_192)
                 .with_recorder(handle.clone()),
             &LivenessOptions::default().threads(4),
         )
@@ -260,7 +249,7 @@ fn main() {
     }
 
     recorder.flush();
-    let text = std::fs::read_to_string(&obs_path).expect("read back OBS_resume.jsonl");
+    let text = std::fs::read_to_string(obs_path).expect("read back OBS_resume.jsonl");
     let summary = obs::validate_stream(&text).unwrap_or_else(|e| {
         panic!("OBS_resume.jsonl fails schema validation: {e}");
     });

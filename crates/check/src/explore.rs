@@ -1,18 +1,32 @@
 //! Breadth-first state-space exploration.
 //!
-//! Two engines produce the same [`StateGraph`]:
+//! Every engine produces the same [`StateGraph`]: same state indices,
+//! same edge lists, same [`GraphStats`], same counterexample traces.
+//! One function, `route`, picks the engine once from the inputs,
+//! checked top to bottom:
 //!
-//! * a **sequential** engine — the reference implementation: plain BFS
-//!   over the compiled successor stepper
-//!   ([`crate::CompiledSystem`]);
-//! * a **parallel** engine ([`explore_parallel`]) — level-synchronous
-//!   BFS over a sharded visited set, followed by a deterministic
-//!   renumbering pass that replays the discovery order sequentially.
-//!   On complete runs the result is **byte-identical** to the
-//!   sequential engine: same state indices, same edge lists, same
-//!   [`GraphStats`], same counterexample traces.
+//! | inputs | engine | run report name |
+//! |---|---|---|
+//! | reduction active | sequential reduced loop | `explore_sequential` |
+//! | memory budget, 1 thread | `spill` | `explore_spill` |
+//! | memory budget, >1 thread | `spill_ws` | `explore_spill_ws` |
+//! | 1 thread | sequential loop | `explore_sequential` |
+//! | >1 thread, checkpointing budget | sequential loop | `explore_sequential` |
+//! | >1 thread, fingerprints narrowed below 64 bits | sequential loop | `explore_sequential` |
+//! | >1 thread | work-stealing (`ws`) | `explore_parallel` |
 //!
-//! Both engines deduplicate states through a [`VisitedMode`]: either
+//! The sequential loop is the reference implementation: plain BFS over
+//! the compiled successor stepper ([`crate::CompiledSystem`]). The
+//! work-stealing engines recover its discovery order after the run with
+//! a deterministic renumbering pass. Checkpointing multi-threaded runs
+//! stay sequential because only the sequential loop takes periodic
+//! snapshots; the work-stealing engine snapshots only at exhaustion.
+//! Runs that force fingerprint collisions ([`ExploreOptions::fp_bits`]
+//! below 64 in [`VisitedMode::Fingerprint`]) stay sequential because
+//! the work-stealing engine keeps whichever colliding state arrives
+//! first, so its conflation would depend on scheduling.
+//!
+//! Every engine deduplicates states through a [`VisitedMode`]: either
 //! **fingerprinting** (the default — 64-bit hashes in the visited set,
 //! full states only in an append-only arena) or an **exact** fallback
 //! that keys the visited set by the full state. See [`VisitedMode`]
@@ -25,19 +39,18 @@ use crate::obs::{Event, Phase, PhaseGuard, ProgressSnapshot, RunReport, OBS_SCHE
 use crate::reduction::{AmpleScratch, Canonicalize, PreparedReduction, Reduction, ReductionStats};
 use crate::{CheckError, System};
 use fxhash::FxHashMap;
-use opentla_kernel::State;
+use opentla_kernel::{State, Value, VarId};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 // Every lock in the parallel engines guards state that is kept
 // consistent *within* each critical section (pushes and map inserts
-// happen together; see [`ParShared::intern_with`]), so the shared
-// poison-recovering [`lock`] is safe here: a panic that poisons a
-// lock leaves the protected data structurally sound — the worker's
-// in-flight *results* are discarded separately by the panic-isolation
-// path. Propagating the poison would instead turn one worker's bug
-// into a whole-run abort.
+// happen together), so the shared poison-recovering [`lock`] is safe
+// here: a panic that poisons a lock leaves the protected data
+// structurally sound — the worker's in-flight *results* are repaired
+// separately by the panic-isolation path. Propagating the poison would
+// instead turn one worker's bug into a whole-run abort.
 use crate::sync::{lock, Striped, NUM_SHARDS};
 
 mod spill;
@@ -82,118 +95,58 @@ pub struct ExploreOptions {
     pub mode: VisitedMode,
     /// Worker threads. `None` (the default) consults the
     /// `OPENTLA_EXPLORE_THREADS` environment variable, falling back to
-    /// 1 (sequential). Any resolved value above 1 routes [`explore`] /
-    /// [`explore_governed`] through the parallel engine.
+    /// 1 (sequential). A resolved value above 1 routes [`explore`] /
+    /// [`explore_governed`] through the work-stealing engine unless
+    /// another row of the module docs' route table applies first.
     pub threads: Option<usize>,
     /// Fingerprint width in bits, 1..=64 (default 64). Values below 64
     /// mask the fingerprint, deliberately *forcing* collisions — a test
     /// knob for exercising the under-approximation and the
     /// [`VisitedMode::Exact`] fallback; production runs should leave
-    /// this at 64.
+    /// this at 64. Narrowed fingerprint-mode runs stay on the
+    /// sequential loop, whose conflation is deterministic.
     pub fp_bits: u32,
     /// State-space reduction (ample-set partial-order and/or symmetry
     /// reduction; see [`Reduction`]). Defaults to [`Reduction::none`]:
-    /// the engines then take exactly their unreduced code paths and
-    /// produce bit-for-bit the same graphs as before the reduction
-    /// subsystem existed. Reduced graphs answer state-invariant
-    /// queries only — liveness and step-invariant checks refuse them.
+    /// the engines then take exactly their unreduced code paths. An
+    /// active reduction runs on the sequential reduced loop at every
+    /// thread count. Reduced graphs answer state-invariant queries
+    /// only — liveness and step-invariant checks refuse them.
     pub reduction: Reduction,
-    /// Fault-injection knob for the parallel engine's panic isolation:
-    /// when set, exactly one worker deliberately panics mid-expansion
-    /// (see [`WorkerPanic`]). The run must survive degraded — this
-    /// exists so tests can prove it does. `None` (the default) injects
-    /// nothing; the sequential engines ignore it.
+    /// Fault-injection knob for the work-stealing engine's panic
+    /// isolation: when set, exactly one worker deliberately panics
+    /// mid-expansion (see [`WorkerPanic`]). The run must survive
+    /// degraded — this exists so tests can prove it does. `None` (the
+    /// default) injects nothing; the sequential loop ignores it.
     pub worker_panic: Option<WorkerPanic>,
-    /// Which parallel engine runs when the resolved thread count calls
-    /// for one. Default [`Engine::LevelSync`] — bit-for-bit the
-    /// pre-existing behavior. [`Engine::WorkStealing`] selects the
-    /// barrier-free packed-state engine (see [`explore_parallel_ws`]);
-    /// reduced runs and [`WorkerPanic`] injection always fall back to
-    /// the level-synchronous path, which remains the reduced/proviso
-    /// engine.
-    pub engine: Engine,
-    /// Graphs that stay below this many states are explored
-    /// sequentially even when a parallel engine was requested: worker
-    /// setup costs orders of magnitude more than the whole exploration
-    /// on dozen-state graphs. The parallel engine probes sequentially
-    /// up to the cutoff and only pays for workers once the graph
-    /// outgrows it. `None` (the default) uses
-    /// [`PAR_SMALL_GRAPH_CUTOFF`]; `Some(0)` disables the routing
-    /// (tests that must exercise parallel machinery on tiny graphs
-    /// do). Checkpointed, resumed, and panic-injection runs never
-    /// probe — their semantics are pinned to the parallel engine.
-    pub small_graph_cutoff: Option<usize>,
     /// Approximate RAM ceiling, in bytes, for the exploration's state
     /// arena, edge lists, and visited set. Setting it (or exporting
-    /// `OPENTLA_MEM_BUDGET`) routes unreduced runs to a bounded-memory
-    /// engine — single-threaded runs to [`Engine::SpillBfs`], parallel
-    /// runs to [`Engine::SpillWs`] — which spills sealed arena
-    /// segments and sorted fingerprint runs to disk and keeps only a
-    /// budget-sized working set in RAM. `None` (the default) keeps
-    /// everything in RAM; an explicit spill engine with `None` uses a
-    /// generous default budget. Configurations that *cannot* honor a
-    /// budget (reduction-active or panic-injection runs, which are
-    /// pinned to the in-RAM level-synchronous engine) refuse an
-    /// explicit budget with [`CheckError::Precondition`] and report an
-    /// environment-derived one as ignored via
-    /// [`Event::BudgetIgnored`](crate::Event) rather than silently
-    /// exploring unbounded.
+    /// `OPENTLA_MEM_BUDGET`) routes the run to a bounded-memory engine
+    /// — single-threaded runs to the sequential spill engine, parallel
+    /// runs to the work-stealing spill engine — which spills sealed
+    /// arena segments and sorted fingerprint runs to disk and keeps
+    /// only a budget-sized working set in RAM. `None` (the default)
+    /// keeps everything in RAM. Configurations that *cannot* honor a
+    /// budget (reduction-active or panic-injection runs, which stay on
+    /// the in-RAM engines) refuse an explicit budget with
+    /// [`CheckError::Precondition`] and report an environment-derived
+    /// one as ignored via [`Event::BudgetIgnored`](crate::Event) rather
+    /// than silently exploring unbounded.
     pub mem_budget_bytes: Option<usize>,
 }
 
-/// Selects the parallel exploration engine; see
-/// [`ExploreOptions::engine`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// The PR2 level-synchronous engine: BFS levels end in a barrier
-    /// plus canonical renumbering. The only engine that runs reduced
-    /// (ample-set / symmetry) explorations.
-    #[default]
-    LevelSync,
-    /// The barrier-free work-stealing engine over packed state
-    /// buffers: per-worker deques, quiescence-based termination, one
-    /// canonical renumbering post-pass. Produces graphs byte-identical
-    /// to the sequential engine. Falls back to the `Value`-tree state
-    /// representation when the system's domains do not compile to a
-    /// [`opentla_kernel::PackedLayout`].
-    WorkStealing,
-    /// The bounded-memory sequential engine: same BFS order and charge
-    /// discipline as the in-RAM sequential engine, but the state arena
-    /// and edge lists live in an append-only disk-backed segment store
-    /// (read back through an LRU cache) and the visited set spills
-    /// sorted fingerprint runs once its hot tier fills. Completed
-    /// graphs are byte-identical to the sequential engine's in both
-    /// [`VisitedMode`]s. Selecting it explicitly forces the spill path
-    /// even without a [`ExploreOptions::mem_budget_bytes`] budget;
-    /// reduced and panic-injection runs fall back to level-sync.
-    SpillBfs,
-    /// The parallel bounded-memory engine: the work-stealing scheduler
-    /// of [`Engine::WorkStealing`] running over the disk-backed tiers
-    /// of [`Engine::SpillBfs`]. The hot fingerprint tier is sharded
-    /// across the same 64 lock stripes as the in-RAM parallel visited
-    /// sets, each shard draining to shared sorted fingerprint runs at
-    /// a deterministic byte threshold; arena and edge records funnel
-    /// through shared sealed-segment writers. Completed graphs are
-    /// byte-identical to [`Engine::SpillBfs`] and to the sequential
-    /// engine in both [`VisitedMode`]s. Selecting it explicitly forces
-    /// the parallel spill path even without a budget; reduced and
-    /// panic-injection runs fall back to level-sync.
-    SpillWs,
-}
-
-/// Instructs one parallel worker to panic mid-expansion — test
+/// Instructs one work-stealing worker to panic mid-expansion — test
 /// instrumentation for the engine's panic isolation (see
 /// [`ExploreOptions::worker_panic`]). The victim is whichever worker
-/// makes the first frontier claim past `after_claims`, counted
-/// globally across all workers and levels (a fire-once flag guarantees
-/// exactly one panic per run). The panic fires inside the successor
-/// callback, *after* at least one edge of the current parent was
-/// recorded, so it exercises the coordinator's truncate-and-requeue
-/// recovery rather than a clean boundary.
+/// makes the first claim past `after_claims`, counted globally across
+/// all workers (a fire-once flag guarantees exactly one panic per
+/// run). The panic fires inside the successor callback, *after* at
+/// least one edge of the current parent was recorded, so it exercises
+/// the roll-back-and-requeue recovery rather than a clean boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkerPanic {
-    /// The panic arms once this many frontier entries have been
-    /// claimed run-wide (0 = panic during the first claimed parent).
+    /// The panic arms once this many parents have been claimed
+    /// run-wide (0 = panic during the first claimed parent).
     pub after_claims: u64,
 }
 
@@ -206,8 +159,6 @@ impl Default for ExploreOptions {
             fp_bits: 64,
             reduction: Reduction::none(),
             worker_panic: None,
-            engine: Engine::LevelSync,
-            small_graph_cutoff: None,
             mem_budget_bytes: None,
         }
     }
@@ -217,58 +168,88 @@ impl ExploreOptions {
     fn mask(&self) -> u64 {
         fp_mask(self.fp_bits)
     }
+}
 
-    /// Whether this configuration routes to the work-stealing engine:
-    /// reduction and panic-injection runs stay on the level-sync path
-    /// (the former by design — the proviso needs level boundaries —
-    /// the latter because the injection hook instruments that
-    /// engine's claim counter).
-    fn ws_routed(&self) -> bool {
-        self.engine == Engine::WorkStealing
-            && !self.reduction.is_active()
-            && self.worker_panic.is_none()
-    }
+/// The engine an exploration runs on, decided once by [`route`]. It
+/// drives both the dispatch and the [`RunReport`]'s engine name and
+/// thread count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Route {
+    /// The sequential loop, reduced or not.
+    Sequential,
+    /// The bounded-memory sequential engine under a byte budget.
+    Spill { mem: usize },
+    /// The bounded-memory work-stealing engine under a byte budget.
+    SpillWs { threads: usize, mem: usize },
+    /// The in-RAM work-stealing engine.
+    Parallel { threads: usize },
+}
 
-    /// The memory budget in force: the explicit option wins, the
-    /// `OPENTLA_MEM_BUDGET` environment override fills in otherwise.
-    pub(crate) fn resolved_mem_budget(&self) -> Option<usize> {
-        self.mem_budget_bytes.or_else(env_mem_budget)
-    }
-
-    /// Whether this configuration routes to the bounded-memory spill
-    /// engine. Reduction and panic-injection runs never do (they stay
-    /// on level-sync, like [`ws_routed`](Self::ws_routed)); an explicit
-    /// [`Engine::SpillBfs`] always does; otherwise a memory budget
-    /// routes the default engine's single-threaded runs there.
-    fn spill_routed(&self, threads: usize) -> bool {
-        if self.reduction.is_active() || self.worker_panic.is_some() {
-            return false;
-        }
-        match self.engine {
-            Engine::SpillBfs => true,
-            Engine::LevelSync => threads == 1 && self.resolved_mem_budget().is_some(),
-            Engine::WorkStealing | Engine::SpillWs => false,
+impl Route {
+    /// The engine name a [`RunReport`] carries.
+    fn engine(self) -> &'static str {
+        match self {
+            Route::Sequential => "explore_sequential",
+            Route::Spill { .. } => "explore_spill",
+            Route::SpillWs { .. } => "explore_spill_ws",
+            Route::Parallel { .. } => "explore_parallel",
         }
     }
 
-    /// Whether this configuration routes to the parallel bounded-memory
-    /// engine. Reduction and panic-injection runs never do; an explicit
-    /// [`Engine::SpillWs`] always does; otherwise a memory budget
-    /// routes the configurations the sequential spill engine does not
-    /// cover — multi-threaded default-engine runs and work-stealing
-    /// runs — so a budget is honored at *every* thread count instead of
-    /// silently disabling parallelism (or being ignored).
-    fn spill_ws_routed(&self, threads: usize) -> bool {
-        if self.reduction.is_active() || self.worker_panic.is_some() {
-            return false;
-        }
-        match self.engine {
-            Engine::SpillWs => true,
-            Engine::LevelSync => threads > 1 && self.resolved_mem_budget().is_some(),
-            Engine::WorkStealing => self.resolved_mem_budget().is_some(),
-            Engine::SpillBfs => false,
+    /// The workers that run.
+    fn threads(self) -> usize {
+        match self {
+            Route::Sequential | Route::Spill { .. } => 1,
+            Route::SpillWs { threads, .. } | Route::Parallel { threads } => threads,
         }
     }
+}
+
+/// The routing policy: the route table of the module docs, checked top
+/// to bottom. A memory budget the chosen engine cannot honor is
+/// reported as an [`Event::BudgetIgnored`]; when it was set explicitly
+/// (not through `OPENTLA_MEM_BUDGET`) the run is refused instead.
+///
+/// # Errors
+///
+/// [`CheckError::Precondition`] for an explicit budget on a reduced or
+/// panic-injection run.
+fn route(options: &ExploreOptions, threads: usize, budget: &Budget) -> Result<Route, CheckError> {
+    if let Some(mem) = options.mem_budget_bytes.or_else(env_mem_budget) {
+        let pinned = if options.reduction.is_active() {
+            "reduction-active runs are pinned to the in-RAM sequential loop"
+        } else if options.worker_panic.is_some() {
+            "panic-injection runs are pinned to the in-RAM engines"
+        } else if threads == 1 {
+            return Ok(Route::Spill { mem });
+        } else {
+            return Ok(Route::SpillWs { threads, mem });
+        };
+        budget.recorder.record(&Event::BudgetIgnored {
+            budget_bytes: mem as u64,
+            reason: pinned,
+        });
+        if options.mem_budget_bytes.is_some() {
+            return Err(CheckError::Precondition {
+                message: format!(
+                    "mem_budget_bytes = {mem} cannot be honored: {pinned}; drop the \
+                     budget or disable the conflicting option"
+                ),
+            });
+        }
+    }
+    let forced_collisions = options.mode == VisitedMode::Fingerprint && options.fp_bits < 64;
+    Ok(
+        if options.reduction.is_active()
+            || threads == 1
+            || budget.checkpoint.is_some()
+            || forced_collisions
+        {
+            Route::Sequential
+        } else {
+            Route::Parallel { threads }
+        },
+    )
 }
 
 fn fp_mask(fp_bits: u32) -> u64 {
@@ -278,11 +259,6 @@ fn fp_mask(fp_bits: u32) -> u64 {
         (1u64 << fp_bits.max(1)) - 1
     }
 }
-
-/// Default state-count cutoff below which a requested parallel
-/// exploration runs sequentially instead (see
-/// [`ExploreOptions::small_graph_cutoff`]).
-pub const PAR_SMALL_GRAPH_CUTOFF: usize = 256;
 
 /// The `OPENTLA_EXPLORE_THREADS` override, if set to a positive
 /// integer.
@@ -802,58 +778,25 @@ pub fn explore_escalating(
     Ok(result)
 }
 
-/// Routes to the engine picked by `threads`, preparing the reduction
-/// tables once (a no-op `None` when reduction is off, so the default
-/// path is exactly the pre-reduction code).
+/// Runs the engine `route` picked.
 fn explore_dispatch(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
-    threads: usize,
+    route: Route,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
-    if options.spill_routed(threads) {
-        return spill::explore_spill(system, budget, options, resume);
-    }
-    if options.spill_ws_routed(threads) {
-        return spill_ws::explore_spill_ws(system, budget, options, threads, resume);
-    }
-    if let Some(bytes) = options.resolved_mem_budget() {
-        // Neither spill engine took the run, so the budget cannot be
-        // honored (reduction-active or panic-injection configs, which
-        // are pinned to the in-RAM level-sync engine). Never ignore it
-        // silently: report it, and refuse outright when the caller
-        // asked explicitly rather than via the environment.
-        let reason = if options.reduction.is_active() {
-            "reduction-active runs are pinned to the in-RAM level-synchronous engine"
-        } else {
-            "panic-injection runs are pinned to the in-RAM level-synchronous engine"
-        };
-        budget.recorder.record(&Event::BudgetIgnored {
-            budget_bytes: bytes as u64,
-            reason,
-        });
-        if options.mem_budget_bytes.is_some() {
-            return Err(CheckError::Precondition {
-                message: format!(
-                    "mem_budget_bytes = {bytes} cannot be honored: {reason}; drop the \
-                     budget or disable the conflicting option"
-                ),
-            });
+    match route {
+        Route::Sequential => explore_sequential(system, budget, options, resume),
+        Route::Spill { mem } => spill::explore_spill(system, budget, options, mem, resume),
+        Route::SpillWs { threads, mem } => {
+            spill_ws::explore_spill_ws(system, budget, options, threads, mem, resume)
         }
-    }
-    if options.ws_routed() {
-        return ws::explore_ws(system, budget, options, threads, resume);
-    }
-    let prepared = options.reduction.prepare(system);
-    if threads > 1 {
-        explore_parallel_impl(system, budget, options, threads, prepared.as_ref(), resume)
-    } else {
-        explore_sequential(system, budget, options, prepared.as_ref(), resume)
+        Route::Parallel { threads } => ws::explore_ws(system, budget, options, threads, resume),
     }
 }
 
-/// Brackets an engine dispatch in [`Event::RunStart`] /
+/// Routes the run, then brackets its dispatch in [`Event::RunStart`] /
 /// [`Event::RunEnd`] when the budget carries an enabled recorder,
 /// emitting a final *exact* progress snapshot (from the finished
 /// graph's statistics, so it agrees with the report by construction)
@@ -866,21 +809,12 @@ fn explore_observed(
     threads: usize,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
+    let route = route(options, threads, budget)?;
     let rec = budget.recorder.clone();
     if !rec.enabled() {
-        return explore_dispatch(system, budget, options, threads, resume);
+        return explore_dispatch(system, budget, options, route, resume);
     }
-    let engine = if options.spill_routed(threads) {
-        "explore_spill"
-    } else if options.spill_ws_routed(threads) {
-        "explore_spill_ws"
-    } else if options.ws_routed() {
-        "explore_parallel_ws"
-    } else if threads > 1 {
-        "explore_parallel"
-    } else {
-        "explore_sequential"
-    };
+    let (engine, threads) = (route.engine(), route.threads());
     let mode = match options.mode {
         VisitedMode::Fingerprint => "fingerprint",
         VisitedMode::Exact => "exact",
@@ -899,7 +833,7 @@ fn explore_observed(
         });
     }
     let start = std::time::Instant::now();
-    let result = explore_dispatch(system, budget, options, threads, resume);
+    let result = explore_dispatch(system, budget, options, route, resume);
     let report = match &result {
         Ok(run) => {
             let stats = run.graph.stats();
@@ -979,17 +913,16 @@ pub fn explore(system: &System, options: &ExploreOptions) -> Result<StateGraph, 
     }
 }
 
-/// Explores with the parallel engine unconditionally (worker count
-/// from `options.threads`, the `OPENTLA_EXPLORE_THREADS` environment
-/// variable, or the machine's available parallelism, in that order).
+/// [`explore`] with the worker count defaulting to the machine:
+/// `options.threads`, the `OPENTLA_EXPLORE_THREADS` environment
+/// variable, or the machine's available parallelism, in that order.
+/// The route table of the module docs then applies — more than one
+/// worker selects the work-stealing engine for unreduced runs.
 ///
-/// On complete runs the result is byte-identical to [`explore`]: the
-/// level-synchronous workers record edges per parent in action order,
-/// and a sequential renumbering pass replays the canonical BFS
-/// discovery order over those records. When only one worker is
-/// available the engine delegates to the sequential implementation
-/// outright — a single-worker level-synchronous BFS *is* sequential
-/// BFS, so the coordination machinery would be pure overhead.
+/// On complete runs the result is byte-identical to [`explore`]:
+/// workers record edges per parent in action order, and a sequential
+/// renumbering pass replays the canonical BFS discovery order over
+/// those records.
 ///
 /// # Errors
 ///
@@ -1038,90 +971,25 @@ pub fn explore_parallel_governed(
     explore_observed(system, budget, options, threads, None)
 }
 
-/// Explores with the barrier-free work-stealing engine over packed
-/// state buffers (worker count resolved as in [`explore_parallel`]).
-///
-/// Workers pull parents from per-worker deques, stealing from each
-/// other when their own runs dry, and terminate by quiescence
-/// detection instead of level barriers; states live as fixed-width
-/// packed byte runs (see [`opentla_kernel::PackedLayout`]) in
-/// lock-striped arenas, fingerprinted directly over the bytes. A
-/// deterministic canonical renumbering post-pass makes the resulting
-/// graph **byte-identical** to the sequential engine's, exactly as
-/// the level-synchronous engine's is.
-///
-/// Unlike [`explore_parallel`], a single worker does *not* delegate
-/// to the tree-state sequential engine — the packed representation is
-/// most of the speedup, so the engine runs its own machinery at any
-/// worker count. Reduced (ample-set/symmetry) configurations fall
-/// back to the level-synchronous path, which remains the only engine
-/// implementing the cycle proviso.
-///
-/// # Errors
-///
-/// As [`explore`].
-pub fn explore_parallel_ws(
-    system: &System,
-    options: &ExploreOptions,
-) -> Result<StateGraph, CheckError> {
-    let run = explore_parallel_ws_governed(
-        system,
-        &Budget::default().states(options.max_states),
-        options,
-    )?;
-    match run.outcome {
-        Outcome::Complete => Ok(run.graph),
-        Outcome::Exhausted { .. } => Err(CheckError::TooManyStates {
-            limit: options.max_states,
-        }),
-    }
-}
-
-/// [`explore_parallel_ws`] under a [`Budget`], returning partial
-/// results on exhaustion. Checkpointing budgets write an `OTLASNAP`
-/// snapshot at the exhaustion point (a quiescent point — the
-/// barrier-free engine takes no mid-run snapshots), resumable by any
-/// engine.
-///
-/// # Errors
-///
-/// As [`explore_governed`].
-pub fn explore_parallel_ws_governed(
-    system: &System,
-    budget: &Budget,
-    options: &ExploreOptions,
-) -> Result<Exploration, CheckError> {
-    let options = ExploreOptions {
-        engine: Engine::WorkStealing,
-        ..options.clone()
-    };
-    let threads = options
-        .threads
-        .or_else(env_threads)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        })
-        .max(1);
-    explore_observed(system, budget, &options, threads, None)
-}
-
 // ---------------------------------------------------------------------
 // Sequential engine
 // ---------------------------------------------------------------------
 
+/// The sequential engine: reduced runs take the level-aware reduced
+/// loop; unreduced runs take [`explore_bfs`], instantiated once per
+/// [`VisitedMode`].
 fn explore_sequential(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
-    prepared: Option<&PreparedReduction>,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
-    if let Some(red) = prepared {
-        return explore_sequential_reduced(system, budget, options, red, resume);
+    if let Some(red) = options.reduction.prepare(system) {
+        return explore_sequential_reduced(system, budget, options, &red, resume);
     }
     match options.mode {
-        VisitedMode::Fingerprint => explore_sequential_fp(system, budget, options, resume),
-        VisitedMode::Exact => explore_sequential_exact(system, budget, options, resume),
+        VisitedMode::Fingerprint => explore_bfs::<FpVisited>(system, budget, options, resume),
+        VisitedMode::Exact => explore_bfs::<ExactVisited>(system, budget, options, resume),
     }
 }
 
@@ -1136,8 +1004,8 @@ fn explore_sequential(
 /// continues the *exact* sequential discovery order, and new states
 /// extend the arena precisely as an uninterrupted run would.
 ///
-/// Builds the final snapshot of an exhausted sequential run (shared by
-/// all three sequential engines): `keep`/`frontier` follow the
+/// Builds the final snapshot of an exhausted run (shared by every
+/// engine): `keep`/`frontier` follow the
 /// engine's cut discipline, and the snapshot is written to disk when a
 /// checkpoint spec is active.
 #[allow(clippy::too_many_arguments)]
@@ -1177,30 +1045,175 @@ fn seq_exhaustion_snapshot(
     (Some(Box::new(snap)), token)
 }
 
-/// The fingerprinted hot path: successor fingerprints are derived
-/// incrementally from the parent's
-/// ([`State::fingerprint_with`]), so an already-visited successor
-/// costs one hash-of-deltas and one `u64` map probe — it is never
-/// materialized as a [`State`] at all. Only genuinely new states are
-/// constructed and pushed into the arena.
-fn explore_sequential_fp(
+/// What [`SeqVisited::intern`] found.
+enum Interned {
+    /// The state was already recorded, under this id.
+    Seen(usize),
+    /// The state is new and now recorded; it goes into the arena.
+    New(State),
+    /// The state is new, but the meter refused it.
+    Refused(ExhaustReason),
+}
+
+/// The visited-set seam of [`explore_bfs`]: how a state is keyed,
+/// probed and recorded. The loop is monomorphised per implementation,
+/// so the fingerprint instance is the incremental-fingerprint hot path
+/// with no dispatch in it.
+trait SeqVisited {
+    /// A state's dedup key, known before a successor is built.
+    type Key;
+    fn new(mask: u64) -> Self;
+    /// Records a resumed arena state under `id`; the first id wins.
+    fn seed(&mut self, s: &State, id: usize);
+    /// The key of an initial state.
+    fn key(&self, s: &State) -> Self::Key;
+    /// The key of the successor of `parent` (state `parent_id`) under
+    /// `assignments`.
+    fn child_key(
+        &self,
+        parent: &State,
+        parent_id: usize,
+        assignments: &[(VarId, Value)],
+    ) -> Self::Key;
+    /// The id recorded under `key`, or — when `admit` (the meter's
+    /// state charge) lets the state in — records it under `id` and
+    /// returns it, built by `make` unless the key is the state itself.
+    fn intern(
+        &mut self,
+        key: Self::Key,
+        id: usize,
+        admit: impl FnOnce() -> Option<ExhaustReason>,
+        make: impl FnOnce() -> State,
+    ) -> Interned;
+    fn into_visited(self) -> Visited;
+}
+
+/// Fingerprint keys, derived incrementally from the parent's
+/// ([`State::fingerprint_with`]): an already-visited successor costs
+/// one hash of deltas and one `u64` probe, and is never built.
+struct FpVisited {
+    map: FxHashMap<u64, usize>,
+    mask: u64,
+    /// Unmasked fingerprint per state id.
+    fps: Vec<u64>,
+}
+
+impl SeqVisited for FpVisited {
+    type Key = u64;
+
+    fn new(mask: u64) -> Self {
+        FpVisited {
+            map: FxHashMap::default(),
+            mask,
+            fps: Vec::new(),
+        }
+    }
+
+    fn seed(&mut self, s: &State, id: usize) {
+        let fp = s.fingerprint();
+        self.fps.push(fp);
+        self.map.entry(fp & self.mask).or_insert(id);
+    }
+
+    fn key(&self, s: &State) -> u64 {
+        s.fingerprint()
+    }
+
+    fn child_key(&self, parent: &State, parent_id: usize, assignments: &[(VarId, Value)]) -> u64 {
+        parent.fingerprint_with(self.fps[parent_id], assignments)
+    }
+
+    fn intern(
+        &mut self,
+        fp: u64,
+        id: usize,
+        admit: impl FnOnce() -> Option<ExhaustReason>,
+        make: impl FnOnce() -> State,
+    ) -> Interned {
+        use std::collections::hash_map::Entry;
+        match self.map.entry(fp & self.mask) {
+            Entry::Occupied(e) => Interned::Seen(*e.get()),
+            Entry::Vacant(e) => {
+                if let Some(reason) = admit() {
+                    return Interned::Refused(reason);
+                }
+                e.insert(id);
+                self.fps.push(fp);
+                Interned::New(make())
+            }
+        }
+    }
+
+    fn into_visited(self) -> Visited {
+        Visited::Fingerprint {
+            map: self.map,
+            mask: self.mask,
+        }
+    }
+}
+
+/// Whole-state keys: every successor is built and hashed in full.
+/// Collision-free by construction, at a throughput cost.
+struct ExactVisited(HashMap<State, usize>);
+
+impl SeqVisited for ExactVisited {
+    type Key = State;
+
+    fn new(_mask: u64) -> Self {
+        ExactVisited(HashMap::new())
+    }
+
+    fn seed(&mut self, s: &State, id: usize) {
+        self.0.entry(s.clone()).or_insert(id);
+    }
+
+    fn key(&self, s: &State) -> State {
+        s.clone()
+    }
+
+    fn child_key(&self, parent: &State, _: usize, assignments: &[(VarId, Value)]) -> State {
+        parent.with(assignments)
+    }
+
+    fn intern(
+        &mut self,
+        s: State,
+        id: usize,
+        admit: impl FnOnce() -> Option<ExhaustReason>,
+        _make: impl FnOnce() -> State,
+    ) -> Interned {
+        if let Some(&seen) = self.0.get(&s) {
+            return Interned::Seen(seen);
+        }
+        if let Some(reason) = admit() {
+            return Interned::Refused(reason);
+        }
+        self.0.insert(s.clone(), id);
+        Interned::New(s)
+    }
+
+    fn into_visited(self) -> Visited {
+        Visited::Exact(self.0)
+    }
+}
+
+/// The unreduced sequential loop: plain BFS over the compiled
+/// successor stepper, deduplicating through `V`. This is the reference
+/// every other engine must match byte for byte.
+fn explore_bfs<V: SeqVisited>(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
-    use std::collections::hash_map::Entry;
     use std::ops::ControlFlow;
 
     let compiled = CompiledSystem::compile(system);
     let mut scratch = EvalScratch::new();
-    let mask = options.mask();
     let sys_hash = checkpoint::system_hash(system);
     let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let mut map: FxHashMap<u64, usize> = FxHashMap::default();
+    let mut visited = V::new(options.mask());
     let mut states: Vec<State> = Vec::new();
-    // Unmasked fingerprint per state id, for incremental derivation.
-    let mut fps: Vec<u64> = Vec::new();
     let mut edges: Vec<Vec<Edge>> = Vec::new();
     let mut parents: Vec<Option<(usize, usize)>> = Vec::new();
     let mut init: Vec<usize> = Vec::new();
@@ -1210,19 +1223,17 @@ fn explore_sequential_fp(
     let meter;
     if let Some(snap) = resume {
         // Re-seed from the snapshot: arena, edges, and BFS tree come
-        // back verbatim; the visited map is rebuilt by
-        // re-fingerprinting the arena (deterministic across
-        // processes), preserving first-id-wins collision behavior; the
-        // frontier becomes the queue; the meter is pre-charged with
-        // the banked work so cumulative budgets keep their meaning.
+        // back verbatim; the visited set is rebuilt from the arena in
+        // id order (deterministic across processes), preserving
+        // first-id-wins collision behavior; the frontier becomes the
+        // queue; the meter is pre-charged with the banked work so
+        // cumulative budgets keep their meaning.
         states = snap.states.clone();
         edges = snap.edges.clone();
         parents = snap.parents.clone();
         init = snap.init.clone();
         for (id, s) in states.iter().enumerate() {
-            let fp = s.fingerprint();
-            fps.push(fp);
-            map.entry(fp & mask).or_insert(id);
+            visited.seed(s, id);
         }
         queue.extend(snap.frontier.iter().copied());
         meter = Meter::start_resumed(budget, snap.states_used(), snap.transitions_used());
@@ -1234,19 +1245,17 @@ fn explore_sequential_fp(
         meter = Meter::start(budget);
         let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
         for s in init_states {
-            let fp = s.fingerprint();
-            match map.entry(fp & mask) {
-                Entry::Occupied(_) => {}
-                Entry::Vacant(e) => {
-                    if let Some(reason) = meter.charge_state() {
-                        exhausted = Some(reason);
-                        exhausted_in_init = true;
-                        break;
-                    }
-                    let id = states.len();
-                    e.insert(id);
+            let id = states.len();
+            let key = visited.key(&s);
+            match visited.intern(key, id, || meter.charge_state(), || s) {
+                Interned::Seen(_) => {}
+                Interned::Refused(reason) => {
+                    exhausted = Some(reason);
+                    exhausted_in_init = true;
+                    break;
+                }
+                Interned::New(s) => {
                     states.push(s);
-                    fps.push(fp);
                     edges.push(Vec::new());
                     parents.push(None);
                     init.push(id);
@@ -1256,7 +1265,7 @@ fn explore_sequential_fp(
         }
     }
     let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
-    'bfs: while exhausted.is_none() {
+    while exhausted.is_none() {
         if let Some(reason) = meter.checkpoint() {
             exhausted = Some(reason);
             break;
@@ -1286,22 +1295,22 @@ fn explore_sequential_fp(
         // An Arc bump, not a copy: releases the arena borrow so the
         // visitor below may push new states into it.
         let parent = states[id].clone();
-        let parent_fp = fps[id];
         let cut = compiled.for_each_successor(&parent, &mut scratch, |action, assignments| {
             if let Some(reason) = meter.charge_transition() {
                 return ControlFlow::Break(reason);
             }
-            let child_fp = parent.fingerprint_with(parent_fp, assignments);
-            let target = match map.entry(child_fp & mask) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    if let Some(reason) = meter.charge_state() {
-                        return ControlFlow::Break(reason);
-                    }
-                    let nid = states.len();
-                    e.insert(nid);
-                    states.push(parent.with(assignments));
-                    fps.push(child_fp);
+            let key = visited.child_key(&parent, id, assignments);
+            let nid = states.len();
+            let target = match visited.intern(
+                key,
+                nid,
+                || meter.charge_state(),
+                || parent.with(assignments),
+            ) {
+                Interned::Seen(target) => target,
+                Interned::Refused(reason) => return ControlFlow::Break(reason),
+                Interned::New(child) => {
+                    states.push(child);
                     edges.push(Vec::new());
                     parents.push(Some((id, action)));
                     queue.push_back(nid);
@@ -1316,7 +1325,7 @@ fn explore_sequential_fp(
             // honestly reports it as uncovered.
             queue.push_front(id);
             exhausted = Some(reason);
-            break 'bfs;
+            break;
         }
     }
     drop(expand_phase);
@@ -1339,7 +1348,7 @@ fn explore_sequential_fp(
     };
     let graph = StateGraph {
         states,
-        visited: Visited::Fingerprint { map, mask },
+        visited: visited.into_visited(),
         init,
         edges,
         parents,
@@ -1364,156 +1373,7 @@ fn explore_sequential_fp(
     })
 }
 
-/// The exact fallback: the visited set is keyed by whole states, so
-/// every successor is materialized and hashed in full. Collision-free
-/// by construction, at a throughput cost.
-fn explore_sequential_exact(
-    system: &System,
-    budget: &Budget,
-    options: &ExploreOptions,
-    resume: Option<&Snapshot>,
-) -> Result<Exploration, CheckError> {
-    let compiled = CompiledSystem::compile(system);
-    let mut scratch = EvalScratch::new();
-    let mut succ: Vec<(usize, State)> = Vec::new();
-    let sys_hash = checkpoint::system_hash(system);
-    let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let mut graph = StateGraph::new(options.mode, options.mask());
-    let mut queue = std::collections::VecDeque::new();
-    let mut exhausted: Option<ExhaustReason> = None;
-    let mut exhausted_in_init = false;
-    let meter;
-    if let Some(snap) = resume {
-        graph.states = snap.states.clone();
-        graph.edges = snap.edges.clone();
-        graph.parents = snap.parents.clone();
-        graph.init = snap.init.clone();
-        for id in 0..graph.states.len() {
-            let (_, fp) = graph.visited.lookup(&graph.states[id]);
-            let s = graph.states[id].clone();
-            graph.visited.insert(&s, fp, id);
-        }
-        queue.extend(snap.frontier.iter().copied());
-        meter = Meter::start_resumed(budget, snap.states_used(), snap.transitions_used());
-    } else {
-        let init_states = system.init().states(system.universe())?;
-        if init_states.is_empty() {
-            return Err(CheckError::NoInitialStates);
-        }
-        meter = Meter::start(budget);
-        let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
-        for s in init_states {
-            let (seen, fp) = graph.visited.lookup(&s);
-            if seen.is_some() {
-                continue;
-            }
-            if let Some(reason) = meter.charge_state() {
-                exhausted = Some(reason);
-                exhausted_in_init = true;
-                break;
-            }
-            let id = graph.states.len();
-            graph.visited.insert(&s, fp, id);
-            graph.states.push(s);
-            graph.edges.push(Vec::new());
-            graph.parents.push(None);
-            graph.init.push(id);
-            queue.push_back(id);
-        }
-    }
-    let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
-    'bfs: while exhausted.is_none() {
-        if let Some(reason) = meter.checkpoint() {
-            exhausted = Some(reason);
-            break;
-        }
-        if ck.due(1) {
-            let snap = checkpoint::capture(
-                &graph.states,
-                &graph.init,
-                &graph.edges,
-                &graph.parents,
-                graph.states.len(),
-                queue.make_contiguous(),
-                options.mode,
-                false,
-                sys_hash,
-                options.fp_bits.clamp(1, 64),
-                0,
-                None,
-            );
-            ck.write(snap, &budget.recorder);
-        }
-        let Some(id) = queue.pop_front() else {
-            break;
-        };
-        compiled.successors_into(&graph.states[id], &mut succ, &mut scratch)?;
-        for (action, t) in succ.drain(..) {
-            if let Some(reason) = meter.charge_transition() {
-                // Re-queue the half-expanded state so the frontier
-                // honestly reports it as uncovered.
-                queue.push_front(id);
-                exhausted = Some(reason);
-                break 'bfs;
-            }
-            let (seen, fp) = graph.visited.lookup(&t);
-            let target = match seen {
-                Some(existing) => existing,
-                None => {
-                    if let Some(reason) = meter.charge_state() {
-                        queue.push_front(id);
-                        exhausted = Some(reason);
-                        break 'bfs;
-                    }
-                    let nid = graph.states.len();
-                    graph.visited.insert(&t, fp, nid);
-                    graph.states.push(t);
-                    graph.edges.push(Vec::new());
-                    graph.parents.push(Some((id, action)));
-                    queue.push_back(nid);
-                    nid
-                }
-            };
-            graph.edges[id].push(Edge { action, target });
-        }
-    }
-    drop(expand_phase);
-    let (snapshot, resume_token) = match &exhausted {
-        Some(_) if !exhausted_in_init => seq_exhaustion_snapshot(
-            &mut ck,
-            budget,
-            &graph.states,
-            &graph.init,
-            &graph.edges,
-            &graph.parents,
-            graph.states.len(),
-            queue.make_contiguous(),
-            options,
-            false,
-            sys_hash,
-            None,
-        ),
-        _ => (None, None),
-    };
-    let outcome = match exhausted {
-        None => Outcome::Complete,
-        Some(reason) => Outcome::Exhausted {
-            reason,
-            frontier_size: queue.len(),
-            stats: graph.stats(),
-            resume: resume_token,
-        },
-    };
-    Ok(Exploration {
-        frontier: queue.into_iter().collect(),
-        graph,
-        outcome,
-        reduction: None,
-        snapshot,
-    })
-}
-
-/// The reduced sequential engine: level-synchronous BFS (explicit
+/// The reduced sequential engine: BFS by levels (explicit
 /// level boundaries feed the cycle proviso) over canonicalized states,
 /// expanding each state through its chosen ample cluster — or fully
 /// when no eligible proper cluster exists or the proviso fires.
@@ -1521,9 +1381,10 @@ fn explore_sequential_exact(
 /// Used for both [`VisitedMode`]s: symmetry reduction must
 /// canonicalize the materialized successor anyway, so the incremental
 /// fingerprint shortcut of the unreduced fast path does not apply.
-/// Discovery order is plain BFS over kept actions in action order —
-/// exactly the order the parallel engine's renumbering pass replays,
-/// so both engines produce byte-identical reduced graphs.
+/// Discovery order is plain BFS over kept actions in action order.
+/// Reduced runs take this loop at every thread count (no parallel
+/// engine implements the cycle proviso), so their graphs cannot depend
+/// on the thread count.
 fn explore_sequential_reduced(
     system: &System,
     budget: &Budget,
@@ -1655,10 +1516,7 @@ fn explore_sequential_reduced(
             let chosen =
                 por.choose_ample(succ.iter().map(|(a, _)| *a), &mut ample_scratch)?;
             // The proviso: an ample successor already in a completed
-            // level closes a potential cycle — expand fully. Only
-            // completed levels are consulted, so the parallel engine
-            // (which sees racy partial knowledge of the *current*
-            // level) decides identically.
+            // level closes a potential cycle — expand fully.
             let closes_level = succ.iter().any(|(a, child)| {
                 por.cluster_of(*a) == chosen
                     && graph
@@ -1751,7 +1609,7 @@ fn explore_sequential_reduced(
 }
 
 // ---------------------------------------------------------------------
-// Parallel engine
+// Parallel renumbering, shared by the work-stealing engines
 // ---------------------------------------------------------------------
 
 /// Provisional state id used during parallel exploration:
@@ -1771,207 +1629,7 @@ fn local_of(p: Pid) -> usize {
     (p & 0xffff_ffff) as usize
 }
 
-/// One shard of the parallel visited set: a keyed dedup map, the
-/// shard's slice of the state arena, and the unmasked fingerprint of
-/// each arena entry (kept so workers can derive successor fingerprints
-/// incrementally with [`State::fingerprint_with`]).
-#[derive(Debug)]
-struct Shard {
-    keys: ShardKeys,
-    arena: Vec<State>,
-    fps: Vec<u64>,
-}
-
-#[derive(Debug)]
-enum ShardKeys {
-    Exact(HashMap<State, u32>),
-    Fingerprint(FxHashMap<u64, u32>),
-}
-
-impl Shard {
-    fn new(mode: VisitedMode) -> Shard {
-        Shard {
-            keys: match mode {
-                VisitedMode::Exact => ShardKeys::Exact(HashMap::new()),
-                VisitedMode::Fingerprint => ShardKeys::Fingerprint(FxHashMap::default()),
-            },
-            arena: Vec::new(),
-            fps: Vec::new(),
-        }
-    }
-}
-
-/// What each worker accumulated during one level.
-#[derive(Debug, Default)]
-struct WorkerOut {
-    /// `(parent, action, child)` records, contiguous and in action
-    /// order per parent — each parent is expanded by exactly one
-    /// worker, so these splice into per-parent edge lists losslessly.
-    edges: Vec<(Pid, u32, Pid)>,
-    /// States inserted by this worker: the next level's frontier.
-    next: Vec<Pid>,
-    /// Parents whose expansion was cut short by budget exhaustion
-    /// (requeued on the reported frontier).
-    interrupted: Vec<Pid>,
-    /// Frontier entries this worker claimed (for per-worker
-    /// throughput reporting).
-    claimed: u64,
-    /// Reduction counters for the parents this worker expanded
-    /// (all-zero when reduction is off).
-    stats: ReductionStats,
-    /// The parent currently being expanded, with the `edges` length and
-    /// `stats` value at the moment it was claimed. `Some` only while an
-    /// expansion is in flight — so if the worker panics, the
-    /// coordinator can truncate the half-recorded expansion back to
-    /// this mark and re-queue the parent.
-    current: Option<(Pid, usize, ReductionStats)>,
-}
-
-/// Shared coordination state of one parallel run.
-struct ParShared<'a> {
-    shards: Striped<Shard>,
-    mask: u64,
-    meter: &'a Meter,
-    stop: AtomicBool,
-    reason: Mutex<Option<ExhaustReason>>,
-    error: Mutex<Option<CheckError>>,
-    /// Fault-injection bookkeeping for [`WorkerPanic`]: frontier claims
-    /// made run-wide, and whether the injected panic already fired
-    /// (fire-once, whichever worker crosses the threshold first).
-    fault_claims: AtomicU64,
-    fault_fired: AtomicBool,
-}
-
-impl ParShared<'_> {
-    /// Records the first exhaustion reason and raises the stop flag.
-    fn note_exhaustion(&self, r: ExhaustReason) {
-        lock(&self.reason).get_or_insert(r);
-        self.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// Records the first engine error and raises the stop flag.
-    fn note_error(&self, e: CheckError) {
-        lock(&self.error).get_or_insert(e);
-        self.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// The state behind a pid, with its unmasked fingerprint.
-    fn state_of(&self, p: Pid) -> (State, u64) {
-        let shard = self.shards.lock_shard(shard_of(p));
-        let local = local_of(p);
-        (shard.arena[local].clone(), shard.fps[local])
-    }
-
-    /// Looks up / inserts a state by its (unmasked) fingerprint,
-    /// charging the meter for genuinely new states. `make` materializes
-    /// the state and is only called when it must be: in fingerprint
-    /// mode an already-visited successor is recognized — and skipped —
-    /// without ever being constructed. Returns the pid and whether it
-    /// was new, or the exhaustion reason if the state limit cut the
-    /// insertion off.
-    fn intern_with(
-        &self,
-        fp: u64,
-        make: impl FnOnce() -> State,
-    ) -> Result<(Pid, bool), ExhaustReason> {
-        let key = fp & self.mask;
-        let (shard_i, mut shard) = self.shards.lock_key(key);
-        let Shard { keys, arena, fps } = &mut *shard;
-        match keys {
-            ShardKeys::Fingerprint(map) => match map.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    Ok((pid(shard_i, *e.get() as usize), false))
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    if let Some(reason) = self.meter.charge_state() {
-                        return Err(reason);
-                    }
-                    let local = arena.len();
-                    arena.push(make());
-                    fps.push(fp);
-                    e.insert(local as u32);
-                    Ok((pid(shard_i, local), true))
-                }
-            },
-            ShardKeys::Exact(map) => {
-                // Exact mode needs the full state as the dedup key, so
-                // it is always materialized. Sharding by (masked)
-                // fingerprint stays consistent — equal states have
-                // equal fingerprints — and dedup stays exact even when
-                // `fp_bits` forces fingerprint collisions.
-                let t = make();
-                if let Some(&local) = map.get(&t) {
-                    return Ok((pid(shard_i, local as usize), false));
-                }
-                if let Some(reason) = self.meter.charge_state() {
-                    return Err(reason);
-                }
-                let local = arena.len();
-                arena.push(t.clone());
-                fps.push(fp);
-                map.insert(t, local as u32);
-                Ok((pid(shard_i, local), true))
-            }
-        }
-    }
-
-    /// Inserts a snapshot state during resume seeding, *without*
-    /// charging the meter — the resumed [`Meter`] was pre-charged with
-    /// the snapshot's banked totals, so seeding must not count again.
-    /// Returns the pid; a masked-fingerprint collision maps to the
-    /// first occupant (the same first-id-wins rule the snapshot's
-    /// canonical order encodes), so collision behavior survives the
-    /// round trip.
-    fn seed(&self, s: &State) -> Pid {
-        let fp = s.fingerprint();
-        let key = fp & self.mask;
-        let (shard_i, mut shard) = self.shards.lock_key(key);
-        let Shard { keys, arena, fps } = &mut *shard;
-        match keys {
-            ShardKeys::Fingerprint(map) => match map.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    pid(shard_i, *e.get() as usize)
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let local = arena.len();
-                    arena.push(s.clone());
-                    fps.push(fp);
-                    e.insert(local as u32);
-                    pid(shard_i, local)
-                }
-            },
-            ShardKeys::Exact(map) => {
-                if let Some(&local) = map.get(s) {
-                    return pid(shard_i, local as usize);
-                }
-                let local = arena.len();
-                arena.push(s.clone());
-                fps.push(fp);
-                map.insert(s.clone(), local as u32);
-                pid(shard_i, local)
-            }
-        }
-    }
-
-    /// Whether `s` was interned before the current level began — the
-    /// parallel form of the sequential `id < boundary` cycle-proviso
-    /// test. `bounds` holds every shard's arena length snapshotted at
-    /// level start, so the answer is frozen for the whole level and
-    /// independent of insertions racing within it: both engines decide
-    /// the proviso on the identical set of states.
-    fn in_completed_level(&self, s: &State, bounds: &[usize]) -> bool {
-        let key = s.fingerprint() & self.mask;
-        let (shard_i, shard) = self.shards.lock_key(key);
-        let local = match &shard.keys {
-            ShardKeys::Fingerprint(map) => map.get(&key).copied(),
-            ShardKeys::Exact(map) => map.get(s).copied(),
-        };
-        local.is_some_and(|l| (l as usize) < bounds[shard_i])
-    }
-}
-
-/// The canonical replay of a parallel run's edge records, shared by
-/// the final renumbering pass and mid-run checkpoint captures.
+/// The canonical replay of a parallel run's edge records.
 ///
 /// Replaying the BFS sequentially over the recorded per-parent edge
 /// runs reproduces the sequential engine's discovery order exactly:
@@ -1979,8 +1637,8 @@ impl ParShared<'_> {
 /// action order) — so ids, edges, parents, and traces coincide with a
 /// sequential run's. `canon[shard][local]` maps pids to canonical ids
 /// (`u32::MAX` = unreachable from the records, e.g. a child whose
-/// recording worker died mid-expansion before the make-up pass ran);
-/// `depth` is each state's BFS level, non-decreasing in id order.
+/// recording worker panicked and whose parent the run stopped before
+/// re-expanding); `depth` is each state's BFS level, non-decreasing in id order.
 struct Replay {
     canon: Vec<Vec<u32>>,
     states: Vec<State>,
@@ -1990,30 +1648,15 @@ struct Replay {
     depth: Vec<u32>,
 }
 
-/// Builds the [`Replay`]. Each parent's run is indexed first:
-/// `edge_index[shard][local]` is `(which vector, start, length)`,
-/// `u32::MAX` marking "no edges". Every interned state has a recorded
-/// incoming edge (interning and edge-recording are adjacent in the
-/// worker, and a panic's truncated records are re-recorded by the
-/// make-up pass) or is initial, so the replay reaches every interned
-/// state of every *closed* level.
-fn replay_records(
-    arena_lens: &[usize],
-    state_of: impl Fn(Pid) -> State,
-    all_edges: &[Vec<(Pid, u32, Pid)>],
-    init_pids: &[Pid],
-) -> Replay {
-    let (mut r, order) = replay_records_order(arena_lens, all_edges, init_pids);
-    r.states = order.iter().map(|&p| state_of(p)).collect();
-    r
-}
-
-/// The structural core of [`replay_records`]: everything except state
-/// materialization. Returns the [`Replay`] with `states` empty plus
-/// the pids in canonical id order, so callers choose how to
-/// materialize — sequentially ([`replay_records`]) or fanned out
-/// across workers (the work-stealing engine, where each state is an
-/// independent unpack once the order is fixed).
+/// Builds the [`Replay`], except state materialization: returns it
+/// with `states` empty plus the pids in canonical id order, so the
+/// caller materializes — fanned out across workers where each state is
+/// an independent unpack once the order is fixed. Each parent's run is
+/// indexed first: `edge_index[shard][local]` is `(which vector, start,
+/// length)`, `u32::MAX` marking "no edges". Every interned state has a
+/// recorded incoming edge (interning and edge-recording are adjacent
+/// in the worker, and a panicked expansion is re-recorded by whichever
+/// worker re-expands its parent) or is initial.
 fn replay_records_order(
     arena_lens: &[usize],
     all_edges: &[Vec<(Pid, u32, Pid)>],
@@ -2087,7 +1730,7 @@ fn replay_records_order(
 }
 
 /// The deepest consistent level-boundary rollback of an exhausted
-/// parallel run, shared by both parallel engines: given the canonical
+/// parallel run, shared by both work-stealing engines: given the canonical
 /// replay's pid→id map and per-id BFS depths, plus the
 /// discovered-but-unexpanded pids, returns `(keep, frontier_ids)` for
 /// [`checkpoint::capture`]. The cut level L is the shallowest pending
@@ -2117,659 +1760,6 @@ fn rollback_cut(
             let first = depth.partition_point(|&d| d < l);
             (keep, (first..keep).collect())
         }
-    }
-}
-
-/// Level-synchronous parallel BFS: scoped workers drain the current
-/// frontier through an atomic cursor, interning successors into the
-/// sharded visited set; when a level is exhausted the workers'
-/// newly-inserted states become the next frontier. A final sequential
-/// renumbering pass replays the BFS over the recorded per-parent edge
-/// lists, producing canonical (sequential-identical) state indices.
-///
-/// Workers are panic-isolated: a panicking worker loses only its
-/// in-flight expansion (truncated back to the claim mark and made up
-/// by the coordinator before the level closes), the run degrades to
-/// the surviving workers, and every shared lock is poison-tolerant —
-/// the critical sections keep the shards internally consistent, so a
-/// poisoned mutex carries no torn data.
-fn explore_parallel_impl(
-    system: &System,
-    budget: &Budget,
-    options: &ExploreOptions,
-    threads: usize,
-    prepared: Option<&PreparedReduction>,
-    resume: Option<&Snapshot>,
-) -> Result<Exploration, CheckError> {
-    if threads <= 1 {
-        // With a single worker, level-synchronous BFS degenerates to
-        // plain sequential BFS — same discovery order, same graph — so
-        // the sharding and renumbering machinery would be pure
-        // overhead. Delegate.
-        return explore_sequential(system, budget, options, prepared, resume);
-    }
-    // Small-graph routing: probe sequentially up to the cutoff; only a
-    // graph that outgrows it (sequential exhaustion exactly at the
-    // probe's state cap, with headroom left in the real budget) pays
-    // for worker setup. The graphs are byte-identical either way, so
-    // the only observable difference is the absence of worker-level
-    // events. Checkpointed, resumed, and panic-injection runs skip the
-    // probe: their on-disk and fault-isolation semantics belong to the
-    // parallel engine.
-    let cutoff = options.small_graph_cutoff.unwrap_or(PAR_SMALL_GRAPH_CUTOFF);
-    if cutoff > 0
-        && resume.is_none()
-        && options.worker_panic.is_none()
-        && budget.checkpoint.is_none()
-    {
-        let cap = budget.max_states.min(cutoff);
-        let probe_budget = Budget {
-            max_states: cap,
-            ..budget.clone()
-        };
-        let probed = explore_sequential(system, &probe_budget, options, prepared, None)?;
-        let outgrew = cap < budget.max_states
-            && matches!(
-                probed.outcome.exhaustion(),
-                Some(ExhaustReason::StateLimit { .. })
-            );
-        if !outgrew {
-            return Ok(probed);
-        }
-    }
-    let compiled = CompiledSystem::compile(system);
-    let sys_hash = checkpoint::system_hash(system);
-    let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let meter = match resume {
-        Some(snap) => Meter::start_resumed(budget, snap.states_used(), snap.transitions_used()),
-        None => Meter::start(budget),
-    };
-    let shared = ParShared {
-        shards: Striped::new(|| Shard::new(options.mode)),
-        mask: options.mask(),
-        meter: &meter,
-        stop: AtomicBool::new(false),
-        reason: Mutex::new(None),
-        error: Mutex::new(None),
-        fault_claims: AtomicU64::new(0),
-        fault_fired: AtomicBool::new(false),
-    };
-
-    let mut init_pids: Vec<Pid> = Vec::new();
-    // Every worker's edge vector, kept whole: each parent is expanded
-    // by exactly one worker, so its edges form one contiguous run (in
-    // action order) inside exactly one of these vectors.
-    let mut all_edges: Vec<Vec<(Pid, u32, Pid)>> = Vec::new();
-    let mut total_stats = ReductionStats::default();
-    let mut exhausted_in_init = false;
-    let frontier_seed: Vec<Pid>;
-    if let Some(snap) = resume {
-        // Resume: seed the shards with the snapshot arena (canonical
-        // order, so fingerprint first-id-wins dedup is reproduced) and
-        // turn the snapshot's edges into one pre-recorded run vector —
-        // the canonical replay then cannot tell banked work from new
-        // work. The meter was pre-charged above, so seeding is free.
-        let pid_of: Vec<Pid> = snap.states.iter().map(|s| shared.seed(s)).collect();
-        init_pids = snap.init.iter().map(|&i| pid_of[i]).collect();
-        let mut records: Vec<(Pid, u32, Pid)> = Vec::new();
-        for (id, run) in snap.edges.iter().enumerate() {
-            for e in run {
-                records.push((pid_of[id], e.action as u32, pid_of[e.target]));
-            }
-        }
-        if !records.is_empty() {
-            all_edges.push(records);
-        }
-        total_stats = snap.reduction.unwrap_or_default();
-        frontier_seed = snap.frontier.iter().map(|&i| pid_of[i]).collect();
-    } else {
-        let init_states = system.init().states(system.universe())?;
-        if init_states.is_empty() {
-            return Err(CheckError::NoInitialStates);
-        }
-        // Initial states: interned sequentially so their canonical
-        // order is the enumeration order, exactly as in the sequential
-        // engine.
-        let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
-        for s in init_states {
-            let s = match prepared {
-                Some(r) => r.canonical(s),
-                None => s,
-            };
-            let fp = s.fingerprint();
-            match shared.intern_with(fp, move || s) {
-                Ok((p, true)) => init_pids.push(p),
-                Ok((_, false)) => {}
-                Err(reason) => {
-                    shared.note_exhaustion(reason);
-                    exhausted_in_init = true;
-                    break;
-                }
-            }
-        }
-        frontier_seed = init_pids.clone();
-    }
-
-    let mut frontier: Vec<Pid> = frontier_seed;
-    // Discovered-but-unexpanded pids once the run stops early.
-    let mut pending: Vec<Pid> = Vec::new();
-    let observe = meter.observed();
-    let mut level: u64 = 0;
-    // Live worker count: shrinks when workers die, never below one.
-    let mut alive = threads;
-    let mut fault = options.worker_panic;
-    // For the exhaustion snapshot's reduction counters: the totals as
-    // of the last level boundary, and whether the final level lost
-    // work (was cut mid-level), which decides which boundary the
-    // rollback lands on.
-    let mut stats_before_level = total_stats;
-    let mut level_lost_work = false;
-    let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
-    while !frontier.is_empty() && !shared.stop.load(Ordering::Relaxed) {
-        let cursor = AtomicUsize::new(0);
-        stats_before_level = total_stats;
-        let pending_before = pending.len();
-        // With POR on, snapshot each shard's arena length before the
-        // level runs: the cycle proviso asks "was this successor
-        // interned before the current level began?", and the snapshot
-        // freezes that answer for the whole level.
-        let bounds: Option<Vec<usize>> =
-            prepared.filter(|r| r.por.is_some()).map(|_| {
-                shared.shards.iter_locked().map(|s| s.arena.len()).collect()
-            });
-        // Each worker owns its output and reports whether it panicked;
-        // a panic destroys neither the output accumulated so far nor
-        // the run. `AssertUnwindSafe` is justified because the repair
-        // below rolls the output back to the claim mark and the shard
-        // critical sections never expose partial insertions.
-        let outs: Vec<(WorkerOut, bool)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..alive)
-                .map(|_| {
-                    let shared = &shared;
-                    let compiled = &compiled;
-                    let frontier = &frontier;
-                    let cursor = &cursor;
-                    let bounds = bounds.as_deref();
-                    scope.spawn(move || {
-                        let mut out = WorkerOut::default();
-                        let body = std::panic::AssertUnwindSafe(|| match prepared {
-                            Some(red) => run_worker_reduced(
-                                shared, compiled, frontier, cursor, red, bounds,
-                                &mut out, fault,
-                            ),
-                            None => run_worker(
-                                shared, compiled, frontier, cursor, &mut out, fault,
-                            ),
-                        });
-                        let panicked = std::panic::catch_unwind(body).is_err();
-                        (out, panicked)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|_| (WorkerOut::default(), true)))
-                .collect()
-        });
-        let mut next: Vec<Pid> = Vec::new();
-        let mut makeup: Vec<Pid> = Vec::new();
-        let mut failures = 0usize;
-        for (worker, (mut out, panicked)) in outs.into_iter().enumerate() {
-            if panicked {
-                failures += 1;
-                // Repair: the half-recorded expansion rolls back to
-                // the claim mark (edges truncated, reduction counters
-                // restored) and the parent is re-queued. Children it
-                // already interned stay in the shards — the make-up
-                // expansion re-records their edges, and `is_new` is
-                // false the second time, so nothing double-counts.
-                let mut requeued = 0u64;
-                if let Some((parent, edges_mark, stats_mark)) = out.current.take() {
-                    out.edges.truncate(edges_mark);
-                    out.stats = stats_mark;
-                    makeup.push(parent);
-                    requeued = 1;
-                }
-                if observe {
-                    budget.recorder.record(&Event::WorkerFailure {
-                        worker,
-                        level,
-                        requeued,
-                    });
-                }
-            }
-            if observe {
-                budget.recorder.record(&Event::WorkerLevel {
-                    worker,
-                    level,
-                    claimed: out.claimed,
-                    inserted: out.next.len() as u64,
-                });
-            }
-            total_stats.absorb(&out.stats);
-            if !out.edges.is_empty() {
-                all_edges.push(out.edges);
-            }
-            next.extend(out.next);
-            pending.extend(out.interrupted);
-        }
-        // Frontier entries never claimed before the level ended: on a
-        // budget stop they are honestly-pending frontier, but when a
-        // worker died *without* the stop flag they are work the dead
-        // worker would have claimed — they must be made up now, or the
-        // run would report Complete while silently dropping states.
-        let claimed = cursor.load(Ordering::Relaxed).min(frontier.len());
-        if shared.stop.load(Ordering::Relaxed) {
-            pending.extend(&frontier[claimed..]);
-            pending.append(&mut makeup);
-        } else if failures > 0 {
-            makeup.extend_from_slice(&frontier[claimed..]);
-        }
-        if !makeup.is_empty() {
-            // Make-up pass: the coordinator re-expands the dead
-            // workers' lost claims itself (same level, same proviso
-            // bounds, no fault injection), so the level still closes
-            // complete.
-            let mk_cursor = AtomicUsize::new(0);
-            let mut out = WorkerOut::default();
-            match prepared {
-                Some(red) => run_worker_reduced(
-                    &shared, &compiled, &makeup, &mk_cursor, red, bounds.as_deref(),
-                    &mut out, None,
-                ),
-                None => run_worker(&shared, &compiled, &makeup, &mk_cursor, &mut out, None),
-            }
-            let done = mk_cursor.load(Ordering::Relaxed).min(makeup.len());
-            pending.extend(&makeup[done..]);
-            total_stats.absorb(&out.stats);
-            if !out.edges.is_empty() {
-                all_edges.push(out.edges);
-            }
-            next.extend(out.next);
-            pending.extend(out.interrupted);
-        }
-        if failures > 0 {
-            alive = alive.saturating_sub(failures).max(1);
-            fault = None;
-        }
-        level_lost_work = pending.len() > pending_before;
-        frontier = next;
-        if observe {
-            meter.emit_progress(Some(frontier.len() as u64), Some(level), None);
-        }
-        level += 1;
-        if ck.due(claimed as u64) && !shared.stop.load(Ordering::Relaxed) {
-            // Periodic checkpoint at the level boundary: replay the
-            // records into canonical form — the just-formed next
-            // frontier is the canonical arena's tail there, which is
-            // exactly the cut the resume paths expect.
-            let arena_lens: Vec<usize> =
-                shared.shards.iter_locked().map(|s| s.arena.len()).collect();
-            let replay =
-                replay_records(&arena_lens, |p| shared.state_of(p).0, &all_edges, &init_pids);
-            let frontier_ids: Vec<usize> = frontier
-                .iter()
-                .filter_map(|&p| {
-                    let c = replay.canon[shard_of(p)][local_of(p)];
-                    (c != u32::MAX).then_some(c as usize)
-                })
-                .collect();
-            let snap = checkpoint::capture(
-                &replay.states,
-                &replay.init,
-                &replay.edges,
-                &replay.parents,
-                replay.states.len(),
-                &frontier_ids,
-                options.mode,
-                prepared.is_some(),
-                sys_hash,
-                options.fp_bits.clamp(1, 64),
-                0,
-                prepared.map(|_| total_stats),
-            );
-            ck.write(snap, &budget.recorder);
-        }
-    }
-    drop(expand_phase);
-    if let Some(e) = lock(&shared.error).take() {
-        return Err(e);
-    }
-    // A level discovered but never entered (stop rose between levels).
-    pending.extend(frontier);
-
-    // Workers are done: take the shards (and the exhaustion record)
-    // out of their locks.
-    let ParShared { shards, reason, .. } = shared;
-    let shards: Vec<Shard> = shards.into_shards();
-    let reason = reason.into_inner().unwrap_or_else(PoisonError::into_inner);
-
-    let renumber_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
-    let arena_lens: Vec<usize> = shards.iter().map(|sh| sh.arena.len()).collect();
-    let replay = replay_records(
-        &arena_lens,
-        |p| shards[shard_of(p)].arena[local_of(p)].clone(),
-        &all_edges,
-        &init_pids,
-    );
-    let Replay {
-        canon,
-        states,
-        edges,
-        parents,
-        init,
-        depth,
-    } = replay;
-
-    // On a resumable exhaustion, roll the canonical graph back to the
-    // deepest consistent level boundary and snapshot it. The cut level
-    // L is the shallowest pending state's BFS depth: everything above
-    // L is fully expanded, everything below L is partial work redone
-    // on resume (bounded by one level), and the frontier is *all* of
-    // level L — replay depth is non-decreasing in canonical id order,
-    // so the frontier is an id range and lands on the arena's tail.
-    let (snapshot, resume_token) = match reason {
-        Some(_) if !exhausted_in_init => {
-            let (keep, frontier_ids) = rollback_cut(&canon, &depth, states.len(), &pending);
-            // If the final level was cut mid-way, the rollback lands
-            // on the boundary *before* it — whose reduction counters
-            // are the pre-level totals; otherwise the totals stand.
-            let red_stats = prepared.map(|_| {
-                if level_lost_work {
-                    stats_before_level
-                } else {
-                    total_stats
-                }
-            });
-            seq_exhaustion_snapshot(
-                &mut ck,
-                budget,
-                &states,
-                &init,
-                &edges,
-                &parents,
-                keep,
-                &frontier_ids,
-                options,
-                prepared.is_some(),
-                sys_hash,
-                red_stats,
-            )
-        }
-        _ => (None, None),
-    };
-
-    // The final visited set comes straight from the shard key maps,
-    // remapped through `canon` — no state is rehashed.
-    let visited = match options.mode {
-        VisitedMode::Fingerprint => {
-            let mut map: FxHashMap<u64, usize> = FxHashMap::default();
-            map.reserve(states.len());
-            for (si, shard) in shards.iter().enumerate() {
-                if let ShardKeys::Fingerprint(m) = &shard.keys {
-                    for (&fp, &local) in m {
-                        let id = canon[si][local as usize];
-                        if id != u32::MAX {
-                            map.insert(fp, id as usize);
-                        }
-                    }
-                }
-            }
-            Visited::Fingerprint {
-                map,
-                mask: options.mask(),
-            }
-        }
-        VisitedMode::Exact => {
-            let mut map: HashMap<State, usize> = HashMap::with_capacity(states.len());
-            for (si, shard) in shards.iter().enumerate() {
-                if let ShardKeys::Exact(m) = &shard.keys {
-                    for (s, &local) in m {
-                        let id = canon[si][local as usize];
-                        if id != u32::MAX {
-                            map.insert(s.clone(), id as usize);
-                        }
-                    }
-                }
-            }
-            Visited::Exact(map)
-        }
-    };
-    let graph = StateGraph {
-        states,
-        visited,
-        init,
-        edges,
-        parents,
-        reduced: prepared.is_some(),
-        canon: prepared.and_then(|r| r.canon.clone()),
-    };
-    drop(renumber_phase);
-
-    let outcome = match reason {
-        None => Outcome::Complete,
-        Some(reason) => Outcome::Exhausted {
-            reason,
-            frontier_size: {
-                pending.sort_unstable();
-                pending.dedup();
-                pending.len()
-            },
-            stats: graph.stats(),
-            resume: resume_token,
-        },
-    };
-    // A pending pid can be unreachable in the replay (its recording
-    // worker died mid-expansion and the run then stopped before the
-    // make-up re-recorded it); such orphans are simply not part of the
-    // canonical graph, so they cannot be listed on its frontier.
-    let mut frontier: Vec<usize> = pending
-        .iter()
-        .filter_map(|&p| {
-            let c = canon[shard_of(p)][local_of(p)];
-            (c != u32::MAX).then_some(c as usize)
-        })
-        .collect();
-    frontier.sort_unstable();
-    frontier.dedup();
-    Ok(Exploration {
-        graph,
-        outcome,
-        frontier,
-        reduction: prepared.map(|_| total_stats),
-        snapshot,
-    })
-}
-
-/// One worker's share of a level: claim parents through the cursor,
-/// expand them with the compiled stepper, intern the children.
-///
-/// Children's fingerprints are derived incrementally from the parent's
-/// ([`State::fingerprint_with`]), so in fingerprint mode an
-/// already-visited child is recognized without ever being constructed.
-/// Interning a child and recording its edge are adjacent — nothing can
-/// interrupt between them — which is what guarantees the renumbering
-/// pass reaches every interned state.
-///
-/// Output accumulates into `out`, which the *caller* owns: if this
-/// worker panics (`fault` injects one deterministically for testing),
-/// the coordinator repairs `out` from its `current` claim mark instead
-/// of losing the level.
-fn run_worker(
-    shared: &ParShared<'_>,
-    compiled: &CompiledSystem<'_>,
-    frontier: &[Pid],
-    cursor: &AtomicUsize,
-    out: &mut WorkerOut,
-    fault: Option<WorkerPanic>,
-) {
-    use std::ops::ControlFlow;
-
-    let mut scratch = EvalScratch::new();
-    loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        if let Some(reason) = shared.meter.checkpoint() {
-            shared.note_exhaustion(reason);
-            break;
-        }
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(&parent) = frontier.get(i) else {
-            break;
-        };
-        out.claimed += 1;
-        out.current = Some((parent, out.edges.len(), out.stats));
-        let armed = fault.is_some_and(|f| {
-            shared.fault_claims.fetch_add(1, Ordering::Relaxed) >= f.after_claims
-        });
-        let (s, s_fp) = shared.state_of(parent);
-        let result = compiled.for_each_successor(&s, &mut scratch, |action, assignments| {
-            if let Some(reason) = shared.meter.charge_transition() {
-                shared.note_exhaustion(reason);
-                out.interrupted.push(parent);
-                return ControlFlow::Break(());
-            }
-            let child_fp = s.fingerprint_with(s_fp, assignments);
-            match shared.intern_with(child_fp, || s.with(assignments)) {
-                Ok((child, is_new)) => {
-                    if is_new {
-                        out.next.push(child);
-                    }
-                    out.edges.push((parent, action as u32, child));
-                    if armed && !shared.fault_fired.swap(true, Ordering::Relaxed) {
-                        panic!("injected worker panic");
-                    }
-                    ControlFlow::Continue(())
-                }
-                Err(reason) => {
-                    shared.note_exhaustion(reason);
-                    out.interrupted.push(parent);
-                    ControlFlow::Break(())
-                }
-            }
-        });
-        out.current = None;
-        match result {
-            Ok(None) => {}
-            Ok(Some(())) => break,
-            Err(e) => {
-                shared.note_error(e);
-                break;
-            }
-        }
-    }
-}
-
-/// The reduced worker: like [`run_worker`], but every successor is
-/// materialized and canonicalized before interning (so the incremental
-/// fingerprint shortcut does not apply), and — when partial-order
-/// reduction is on — each parent expands only its chosen ample cluster
-/// unless the cycle proviso forces full expansion. Successors are
-/// buffered per parent because the ample choice needs the full enabled
-/// set before any edge is committed.
-#[allow(clippy::too_many_arguments)]
-fn run_worker_reduced(
-    shared: &ParShared<'_>,
-    compiled: &CompiledSystem<'_>,
-    frontier: &[Pid],
-    cursor: &AtomicUsize,
-    red: &PreparedReduction,
-    bounds: Option<&[usize]>,
-    out: &mut WorkerOut,
-    fault: Option<WorkerPanic>,
-) {
-    use std::ops::ControlFlow;
-
-    let mut scratch = EvalScratch::new();
-    let mut succ: Vec<(usize, State)> = Vec::new();
-    let mut ample_scratch = AmpleScratch::default();
-    'level: loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        if let Some(reason) = shared.meter.checkpoint() {
-            shared.note_exhaustion(reason);
-            break;
-        }
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(&parent) = frontier.get(i) else {
-            break;
-        };
-        out.claimed += 1;
-        out.current = Some((parent, out.edges.len(), out.stats));
-        let armed = fault.is_some_and(|f| {
-            shared.fault_claims.fetch_add(1, Ordering::Relaxed) >= f.after_claims
-        });
-        let (s, _) = shared.state_of(parent);
-        succ.clear();
-        let result = compiled.for_each_successor(&s, &mut scratch, |action, assignments| {
-            let child = s.with(assignments);
-            let child = match &red.canon {
-                Some(c) => {
-                    let canonical = c.canonicalize(&child);
-                    if canonical != child {
-                        out.stats.canon_hits += 1;
-                    }
-                    canonical
-                }
-                None => child,
-            };
-            succ.push((action, child));
-            ControlFlow::<std::convert::Infallible>::Continue(())
-        });
-        if let Err(e) = result {
-            out.current = None;
-            shared.note_error(e);
-            break;
-        }
-        let keep_cluster = red.por.as_ref().and_then(|por| {
-            let chosen =
-                por.choose_ample(succ.iter().map(|(a, _)| *a), &mut ample_scratch)?;
-            let bounds = bounds.expect("bounds snapshot exists whenever POR is on");
-            let closes_level = succ.iter().any(|(a, child)| {
-                por.cluster_of(*a) == chosen && shared.in_completed_level(child, bounds)
-            });
-            (!closes_level).then_some(chosen)
-        });
-        if keep_cluster.is_some() {
-            out.stats.ample_states += 1;
-        } else {
-            out.stats.full_states += 1;
-        }
-        for (action, child) in succ.drain(..) {
-            if let Some(c) = keep_cluster {
-                if red.por.as_ref().map(|p| p.cluster_of(action)) != Some(c) {
-                    out.stats.skipped_transitions += 1;
-                    continue;
-                }
-            }
-            if let Some(reason) = shared.meter.charge_transition() {
-                shared.note_exhaustion(reason);
-                out.interrupted.push(parent);
-                out.current = None;
-                break 'level;
-            }
-            let child_fp = child.fingerprint();
-            match shared.intern_with(child_fp, move || child) {
-                Ok((cp, is_new)) => {
-                    if is_new {
-                        out.next.push(cp);
-                    }
-                    out.edges.push((parent, action as u32, cp));
-                    if armed && !shared.fault_fired.swap(true, Ordering::Relaxed) {
-                        panic!("injected worker panic");
-                    }
-                }
-                Err(reason) => {
-                    shared.note_exhaustion(reason);
-                    out.interrupted.push(parent);
-                    out.current = None;
-                    break 'level;
-                }
-            }
-        }
-        out.current = None;
     }
 }
 
@@ -3067,6 +2057,20 @@ mod tests {
         assert!(!run.frontier.is_empty());
     }
 
+    /// With no surviving worker the injected panic propagates instead
+    /// of leaving quiescence waiting on the dead worker's claim.
+    #[test]
+    fn worker_panic_without_survivors_propagates() {
+        let opts = ExploreOptions {
+            worker_panic: Some(WorkerPanic { after_claims: 0 }),
+            ..ExploreOptions::default()
+        };
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ws::explore_ws(&grid(4), &Budget::default(), &opts, 1, None)
+        }));
+        assert!(run.is_err(), "the sole worker's panic must propagate");
+    }
+
     #[test]
     fn forced_collisions_underapproximate_and_exact_mode_recovers() {
         // 1-bit fingerprints conflate almost everything: the explorer
@@ -3119,48 +2123,5 @@ mod tests {
                 assert_eq!(collided.state(id), s);
             }
         }
-    }
-
-    /// Small graphs requested under a parallel engine route to the
-    /// sequential path (no worker events); graphs that outgrow the
-    /// cutoff — or runs that opt out with `Some(0)` — still fan out.
-    #[test]
-    fn small_graphs_skip_worker_machinery() {
-        use crate::obs::{CountingRecorder, RecorderHandle};
-        use std::sync::Arc;
-
-        let run_counting = |sys: &System, cutoff: Option<usize>| {
-            let counting = Arc::new(CountingRecorder::new());
-            let handle = RecorderHandle::new(counting.clone());
-            let budget = Budget::default().with_recorder(handle);
-            let opts = ExploreOptions {
-                threads: Some(4),
-                small_graph_cutoff: cutoff,
-                ..ExploreOptions::default()
-            };
-            let run = explore_parallel_governed(sys, &budget, &opts).unwrap();
-            assert!(run.outcome.is_complete());
-            (run.graph, counting.worker_levels())
-        };
-
-        // 9 states: probe completes under the default 256 cutoff, so
-        // no worker levels are ever recorded.
-        let small = grid(2);
-        let (routed, levels) = run_counting(&small, None);
-        assert_eq!(levels, 0, "small graph should route sequentially");
-        // Opting out with Some(0) restores the parallel machinery.
-        let (forced, forced_levels) = run_counting(&small, Some(0));
-        assert!(forced_levels > 0, "cutoff 0 must force the parallel engine");
-        assert_eq!(routed.len(), forced.len());
-        assert_eq!(routed.edge_count(), forced.edge_count());
-        for id in 0..routed.len() {
-            assert_eq!(routed.state(id), forced.state(id));
-        }
-
-        // 441 states: the probe outgrows the cutoff, the parallel
-        // engine takes over, and worker levels appear.
-        let (big, big_levels) = run_counting(&grid(20), None);
-        assert_eq!(big.len(), 441);
-        assert!(big_levels > 0, "large graph must still fan out");
     }
 }

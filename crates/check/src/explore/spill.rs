@@ -1,9 +1,8 @@
 //! The bounded-memory exploration engine.
 //!
 //! Same BFS discovery order, charge discipline, and outcomes as the
-//! in-RAM sequential engines (`explore_sequential_fp` /
-//! `explore_sequential_exact`), but the working set is held to an
-//! approximate byte budget:
+//! in-RAM sequential loop (`explore_bfs`), but the working set is held
+//! to an approximate byte budget:
 //!
 //! * the **state arena** and **edge lists** are append-only
 //!   [`SegmentStore`]s — sealed segments live on disk and are read
@@ -43,12 +42,6 @@ use opentla_kernel::store::{self, FingerprintRun, SegmentMeta, SegmentStore, Sto
 use opentla_kernel::{PackedLayout, State};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-
-/// Budget assumed when [`super::Engine::SpillBfs`] is selected without
-/// an explicit [`ExploreOptions::mem_budget_bytes`]: generous enough
-/// that typical models never seal a segment, so the engine runs at
-/// in-RAM speed while keeping the spill machinery live.
-pub(super) const DEFAULT_SPILL_BUDGET: usize = 256 << 20;
 
 /// How one memory budget splits across the engine's tiers (shared
 /// with the parallel spill engine, which divides the visited-tier
@@ -740,17 +733,15 @@ fn reingest(
     Ok(())
 }
 
-/// Routes one spill exploration by visited mode and cleans up an
-/// ephemeral segment directory afterwards.
+/// Routes one spill exploration under a `mem`-byte budget by visited
+/// mode and cleans up an ephemeral segment directory afterwards.
 pub(super) fn explore_spill(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
+    mem: usize,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
-    let mem = options
-        .resolved_mem_budget()
-        .unwrap_or(DEFAULT_SPILL_BUDGET);
     let (dir, ephemeral) = spill_dir(budget);
     let result = match options.mode {
         VisitedMode::Fingerprint => explore_spill_fp(system, budget, options, resume, mem, &dir),
@@ -769,7 +760,7 @@ enum Stop {
     Fail(CheckpointError),
 }
 
-/// The fingerprint-mode engine; mirrors `explore_sequential_fp`
+/// The fingerprint-mode engine; mirrors `explore_bfs::<FpVisited>`
 /// statement for statement so completed graphs are byte-identical.
 fn explore_spill_fp(
     system: &System,
@@ -1033,7 +1024,7 @@ fn explore_spill_fp(
     })
 }
 
-/// The exact-mode engine; mirrors `explore_sequential_exact`, with the
+/// The exact-mode engine; mirrors `explore_bfs::<ExactVisited>`, with the
 /// whole-state visited map replaced by fingerprint candidates verified
 /// against arena bytes — collision-free like the original, bounded
 /// like the store.

@@ -1,5 +1,5 @@
-//! The parallel bounded-memory exploration engine
-//! ([`Engine::SpillWs`](super::Engine::SpillWs)): the work-stealing
+//! The parallel bounded-memory exploration engine, which the router
+//! picks for multi-threaded runs under a memory budget: the work-stealing
 //! scheduler of [`super::ws`] composed with the disk-backed spill
 //! tiers of [`super::spill`].
 //!
@@ -830,11 +830,9 @@ pub(super) fn explore_spill_ws(
     budget: &Budget,
     options: &ExploreOptions,
     threads: usize,
+    mem: usize,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
-    let mem = options
-        .resolved_mem_budget()
-        .unwrap_or(spill::DEFAULT_SPILL_BUDGET);
     let (dir, ephemeral) = spill::spill_dir(budget);
     let result = explore_spill_ws_in(system, budget, options, threads, resume, mem, &dir);
     if ephemeral {

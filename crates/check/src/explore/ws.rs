@@ -1,10 +1,8 @@
-//! The barrier-free work-stealing exploration engine
-//! ([`explore_parallel_ws`](crate::explore_parallel_ws)).
+//! The barrier-free work-stealing exploration engine: the in-RAM
+//! parallel route of [`explore_governed_with`](crate::explore_governed_with)
+//! and [`explore_parallel`](crate::explore_parallel).
 //!
-//! Where the level-synchronous engine alternates compute levels with
-//! full barriers (every worker idles while the slowest finishes the
-//! level, then a renumber/checkpoint window runs single-threaded),
-//! this engine keeps every worker continuously fed:
+//! Every worker stays continuously fed — there are no level barriers:
 //!
 //! * **Per-worker deques, work stealing.** Each worker owns a deque of
 //!   discovered-but-unexpanded states. It pops from the front of its
@@ -29,25 +27,28 @@
 //!   representation transparently.
 //! * **Lock-striped visited set.** The visited set is sharded by
 //!   fingerprint prefix into [`NUM_SHARDS`] independently-locked
-//!   stripes (reusing the provisional-id scheme of the
-//!   level-synchronous engine), so interning scales with workers.
+//!   stripes addressed by provisional ids ([`Pid`]), so interning
+//!   scales with workers.
 //!
 //! Determinism is recovered after the fact, not maintained during the
-//! run: workers record `(parent, action, child)` edges exactly as the
-//! level-synchronous engine does, and the same canonical renumbering
-//! replay ([`replay_records`]) rebuilds the sequential BFS discovery
-//! order — the finished graph is **byte-identical** to the sequential
-//! engine's.
+//! run: workers record `(parent, action, child)` edges, and the
+//! canonical renumbering replay ([`replay_records_order`]) rebuilds the
+//! sequential BFS discovery order — the finished graph is
+//! **byte-identical** to the sequential loop's.
 //!
 //! Checkpointing: the engine has no level boundaries, so it takes no
 //! mid-run snapshots; a checkpointing budget gets one `OTLASNAP`
 //! snapshot at the exhaustion point (a quiescent point — all workers
 //! stopped), rolled back to the deepest consistent level boundary by
-//! the shared [`rollback_cut`], and resumable by any engine. Worker
-//! panics are *not* survived degraded here (that is the
-//! level-synchronous engine's feature): a panicking worker raises the
-//! stop flag so its peers quiesce, then the panic propagates to the
-//! caller instead of deadlocking quiescence detection.
+//! the shared [`rollback_cut`], and resumable by any engine.
+//!
+//! Panic isolation: a panicking worker rolls its edge records back to
+//! the claim mark of the parent it was expanding, puts that parent
+//! back on its deque (its `in_flight` unit still counts it) together
+//! with any children it had interned, and exits; the survivors steal
+//! the work and finish the run, and one [`Event::WorkerFailure`] is
+//! reported. Only when no worker survives does the panic propagate —
+//! after raising the stop flag, so nothing waits on quiescence.
 
 use super::*;
 use opentla_kernel::{PackedLayout, Value};
@@ -113,9 +114,57 @@ struct WsShared<'a> {
     stop: AtomicBool,
     reason: Mutex<Option<ExhaustReason>>,
     error: Mutex<Option<CheckError>>,
+    /// Workers that have not panicked; the last one to panic
+    /// propagates instead of recovering.
+    alive: AtomicUsize,
+    /// [`WorkerPanic`] injection: the request, the claims made
+    /// run-wide, and whether the injected panic already fired.
+    fault: Option<WorkerPanic>,
+    fault_claims: AtomicU64,
+    fault_fired: AtomicBool,
 }
 
 impl WsShared<'_> {
+    /// Counts one claim and says whether the injected panic is armed
+    /// for it.
+    fn arm_fault(&self) -> bool {
+        self.fault
+            .is_some_and(|f| self.fault_claims.fetch_add(1, Ordering::Relaxed) >= f.after_claims)
+    }
+
+    /// Fires the injected panic, once per run, if `armed`.
+    fn maybe_panic(&self, armed: bool) {
+        if armed && !self.fault_fired.swap(true, Ordering::Relaxed) {
+            panic!("injected worker panic");
+        }
+    }
+
+    /// Hands a panicked worker's work back to the survivors: its edge
+    /// records roll back to the claim mark, the claimed parent goes
+    /// back on the worker's deque — its `in_flight` unit still counts
+    /// it — and so do the children it interned but had not queued.
+    /// Returns how many parents were re-queued, or `None` when no
+    /// worker survives; the stop flag is then raised so nothing waits
+    /// on quiescence, and the caller re-raises the panic.
+    fn recover(&self, me: usize, out: &mut WsOut) -> Option<u64> {
+        let mut deque = lock(&self.deques[me]);
+        let requeued = match out.current.take() {
+            Some((parent, mark)) => {
+                out.edges.truncate(mark);
+                deque.push_front(parent);
+                1
+            }
+            None => 0,
+        };
+        deque.extend(out.born.drain(..));
+        drop(deque);
+        if self.alive.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.stop.store(true, Ordering::Relaxed);
+            return None;
+        }
+        Some(requeued)
+    }
+
     fn note_exhaustion(&self, r: ExhaustReason) {
         lock(&self.reason).get_or_insert(r);
         self.stop.store(true, Ordering::Relaxed);
@@ -163,8 +212,7 @@ impl WsShared<'_> {
 
     /// Exact-mode intern of a fully-built packed state (the bytes are
     /// the dedup key, so they must exist before the probe), charging
-    /// the meter for genuinely new states (see [`ParShared::intern_with`]
-    /// for the shared discipline).
+    /// the meter for genuinely new states only.
     fn intern_packed(&self, fp: u64, child: &[u8]) -> Result<(Pid, bool), ExhaustReason> {
         let key = fp & self.mask;
         let (shard_i, mut shard) = self.shards.lock_key(key);
@@ -189,7 +237,11 @@ impl WsShared<'_> {
         }
     }
 
-    /// The tree-fallback intern, mirroring [`ParShared::intern_with`].
+    /// The tree-fallback intern. Exact mode needs the full state as the
+    /// dedup key, so it is always materialized there; sharding by
+    /// (masked) fingerprint stays consistent — equal states have equal
+    /// fingerprints — and dedup stays exact even when `fp_bits` forces
+    /// fingerprint collisions.
     fn intern_tree(
         &self,
         fp: u64,
@@ -234,7 +286,8 @@ impl WsShared<'_> {
 
     /// Resume seeding for packed arenas — no meter charge (the meter
     /// is pre-charged with the snapshot's banked totals), first-id
-    /// wins on masked-fingerprint collisions, as in [`ParShared::seed`].
+    /// wins on masked-fingerprint collisions, the rule the snapshot's
+    /// canonical order encodes.
     fn seed_packed(&self, fp: u64, bytes: &[u8]) -> Pid {
         let key = fp & self.mask;
         let (shard_i, mut shard) = self.shards.lock_key(key);
@@ -299,8 +352,8 @@ impl WsShared<'_> {
     }
 }
 
-/// One worker's accumulated output (owned by the coordinator, like
-/// the level-synchronous engine's `WorkerOut`).
+/// One worker's accumulated output, owned outside the worker body so
+/// a panic does not lose it.
 #[derive(Default)]
 struct WsOut {
     /// `(parent, action, child)` records — each state is claimed by
@@ -311,6 +364,32 @@ struct WsOut {
     interrupted: Vec<Pid>,
     claimed: u64,
     inserted: u64,
+    /// The parent being expanded and the `edges` length at its claim:
+    /// the mark a panic rolls back to.
+    current: Option<(Pid, usize)>,
+    /// Children interned while expanding `current`, pushed to the
+    /// deque in one batch (one lock per parent, not per child).
+    born: Vec<Pid>,
+}
+
+impl WsOut {
+    /// Opens the expansion of a freshly claimed `parent`.
+    fn claim(&mut self, parent: Pid) {
+        self.claimed += 1;
+        self.current = Some((parent, self.edges.len()));
+    }
+
+    /// Closes the current expansion: queues its children, then
+    /// releases the parent's `in_flight` unit. The flush runs on every
+    /// exit path — a counted-but-unqueued child would wedge quiescence
+    /// or drop out of the resume frontier.
+    fn release(&mut self, shared: &WsShared<'_>, me: usize) {
+        if !self.born.is_empty() {
+            lock(&shared.deques[me]).extend(self.born.drain(..));
+        }
+        self.current = None;
+        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// Claims the next parent: own deque front first, then a sweep
@@ -351,9 +430,6 @@ fn run_ws_worker_packed(
     // duplicate-free because `GuardedAction` rejects duplicate update
     // targets, so old codes can be read from the parent bytes.
     let mut updates: Vec<(usize, u32)> = Vec::new();
-    // Children discovered while expanding the current parent, pushed
-    // to the deque in one batch (one lock per parent, not per child).
-    let mut born: Vec<Pid> = Vec::new();
     loop {
         if shared.stop.load(Ordering::Relaxed) {
             break;
@@ -369,7 +445,8 @@ fn run_ws_worker_packed(
             std::thread::yield_now();
             continue;
         };
-        out.claimed += 1;
+        out.claim(parent);
+        let armed = shared.arm_fault();
         let parent_fp = {
             let shard = shared.shards.lock_shard(shard_of(parent));
             let local = local_of(parent);
@@ -422,9 +499,10 @@ fn run_ws_worker_packed(
                     if is_new {
                         out.inserted += 1;
                         shared.in_flight.fetch_add(1, Ordering::AcqRel);
-                        born.push(child);
+                        out.born.push(child);
                     }
                     out.edges.push((parent, action as u32, child));
+                    shared.maybe_panic(armed);
                     ControlFlow::Continue(())
                 }
                 Err(reason) => {
@@ -434,12 +512,7 @@ fn run_ws_worker_packed(
                 }
             }
         });
-        // Flush on every exit path — a counted-but-unqueued child
-        // would wedge quiescence or drop out of the resume frontier.
-        if !born.is_empty() {
-            lock(&shared.deques[me]).extend(born.drain(..));
-        }
-        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+        out.release(shared, me);
         if let Err(e) = result {
             shared.note_error(e);
             break;
@@ -459,7 +532,6 @@ fn run_ws_worker_tree(
     use std::ops::ControlFlow;
 
     let mut scratch = EvalScratch::new();
-    let mut born: Vec<Pid> = Vec::new();
     loop {
         if shared.stop.load(Ordering::Relaxed) {
             break;
@@ -475,7 +547,8 @@ fn run_ws_worker_tree(
             std::thread::yield_now();
             continue;
         };
-        out.claimed += 1;
+        out.claim(parent);
+        let armed = shared.arm_fault();
         let (s, s_fp) = {
             let shard = shared.shards.lock_shard(shard_of(parent));
             let local = local_of(parent);
@@ -493,9 +566,10 @@ fn run_ws_worker_tree(
                     if is_new {
                         out.inserted += 1;
                         shared.in_flight.fetch_add(1, Ordering::AcqRel);
-                        born.push(child);
+                        out.born.push(child);
                     }
                     out.edges.push((parent, action as u32, child));
+                    shared.maybe_panic(armed);
                     ControlFlow::Continue(())
                 }
                 Err(reason) => {
@@ -505,12 +579,7 @@ fn run_ws_worker_tree(
                 }
             }
         });
-        // Flush on every exit path — a counted-but-unqueued child
-        // would wedge quiescence or drop out of the resume frontier.
-        if !born.is_empty() {
-            lock(&shared.deques[me]).extend(born.drain(..));
-        }
-        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
+        out.release(shared, me);
         if let Err(e) = result {
             shared.note_error(e);
             break;
@@ -519,8 +588,8 @@ fn run_ws_worker_tree(
 }
 
 /// The work-stealing engine entry point; see the module docs. Called
-/// by `explore_dispatch` whenever [`ExploreOptions::engine`] routes
-/// here (reduction and panic-injection runs never do).
+/// by `explore_dispatch` on the parallel route, which reduced runs
+/// never take.
 pub(super) fn explore_ws(
     system: &System,
     budget: &Budget,
@@ -573,6 +642,10 @@ pub(super) fn explore_ws(
         stop: AtomicBool::new(false),
         reason: Mutex::new(None),
         error: Mutex::new(None),
+        alive: AtomicUsize::new(threads),
+        fault: options.worker_panic,
+        fault_claims: AtomicU64::new(0),
+        fault_fired: AtomicBool::new(false),
     };
 
     let mut init_pids: Vec<Pid> = Vec::new();
@@ -585,10 +658,9 @@ pub(super) fn explore_ws(
             // Resume: seed the shards with the snapshot arena in
             // canonical order (reproducing first-id-wins fingerprint
             // dedup) and turn the snapshot's edges into one
-            // pre-recorded run vector, exactly as the level engine
-            // does — the canonical replay cannot tell banked work from
-            // new work. Seeding is meter-free; the meter was
-            // pre-charged above.
+            // pre-recorded run vector — the canonical replay cannot
+            // tell banked work from new work. Seeding is meter-free;
+            // the meter was pre-charged above.
             let pid_of: Vec<Pid> = snap
                 .states
                 .iter()
@@ -664,7 +736,12 @@ pub(super) fn explore_ws(
             .in_flight
             .store(frontier_seed.len(), Ordering::Release);
         let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
-        let outs: Vec<WsOut> = std::thread::scope(|scope| {
+        // Each worker's output lives outside its body, so a panic
+        // loses neither the output nor the run: `AssertUnwindSafe` is
+        // justified because `recover` rolls the output back to the
+        // claim mark and the shard critical sections never expose
+        // partial insertions.
+        let outs: Vec<(WsOut, Option<u64>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|me| {
                     let shared = &shared;
@@ -677,27 +754,32 @@ pub(super) fn explore_ws(
                             }
                             None => run_ws_worker_tree(shared, compiled, me, &mut out),
                         });
-                        if let Err(payload) = std::panic::catch_unwind(body) {
-                            // Backstop, not panic *tolerance*: raise
-                            // the stop flag so the peers' quiescence
-                            // spin terminates (this worker's in_flight
-                            // contribution is lost with it), then let
-                            // the panic surface through the scope.
-                            shared.stop.store(true, Ordering::Relaxed);
-                            std::panic::resume_unwind(payload);
-                        }
-                        out
+                        let failure = match std::panic::catch_unwind(body) {
+                            Ok(()) => None,
+                            Err(payload) => match shared.recover(me, &mut out) {
+                                Some(requeued) => Some(requeued),
+                                None => std::panic::resume_unwind(payload),
+                            },
+                        };
+                        (out, failure)
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| -> WsOut { std::panic::resume_unwind(p) }))
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
         drop(expand_phase);
-        for (worker, out) in outs.iter().enumerate() {
-            if observe {
+        if observe {
+            for (worker, (out, failure)) in outs.iter().enumerate() {
+                if let Some(requeued) = *failure {
+                    budget.recorder.record(&Event::WorkerFailure {
+                        worker,
+                        level: 0,
+                        requeued,
+                    });
+                }
                 budget.recorder.record(&Event::WorkerLevel {
                     worker,
                     level: 0,
@@ -706,7 +788,7 @@ pub(super) fn explore_ws(
                 });
             }
         }
-        for mut out in outs {
+        for (mut out, _) in outs {
             if !out.edges.is_empty() {
                 all_edges.push(std::mem::take(&mut out.edges));
             }
@@ -769,9 +851,8 @@ pub(super) fn explore_ws(
 
     // Exhaustion snapshot at the quiescent point: the shared rollback
     // cut lands on the deepest consistent level boundary of the
-    // *canonical* graph — sound here for the same reason as in the
-    // level engine, because the cut is computed on replay depths, not
-    // on the nondeterministic discovery order.
+    // *canonical* graph — sound because the cut is computed on replay
+    // depths, not on the nondeterministic discovery order.
     let (snapshot, resume_token) = match reason {
         Some(_) if !exhausted_in_init => {
             let (keep, frontier_ids) = rollback_cut(&canon, &depth, states.len(), &pending);

@@ -63,7 +63,7 @@ pub const PROGRESS_SAMPLE: u64 = 1024;
 pub enum Phase {
     /// Enumerating and interning the initial states.
     ExploreInit,
-    /// The BFS expansion loop (sequential or level-synchronous).
+    /// The BFS expansion loop (sequential or work-stealing).
     ExploreExpand,
     /// The parallel engine's canonical renumbering pass.
     ExploreRenumber,
@@ -151,9 +151,9 @@ pub struct RunReport {
     /// Schema version ([`OBS_SCHEMA_VERSION`]).
     pub schema_version: u64,
     /// Which engine ran (`"explore_sequential"`, `"explore_parallel"`,
-    /// …).
+    /// `"explore_spill"` or `"explore_spill_ws"` for explorations).
     pub engine: String,
-    /// Worker threads used.
+    /// Worker threads that ran (1 on the sequential routes).
     pub threads: usize,
     /// Visited-set mode (`"fingerprint"` / `"exact"`), or another
     /// engine-specific mode tag.
@@ -303,9 +303,10 @@ pub enum Event<'a> {
     WorkerFailure {
         /// Worker index that died.
         worker: usize,
-        /// BFS level being processed when it died.
+        /// BFS level being processed when it died (0 on the
+        /// barrier-free work-stealing engine, which has no levels).
         level: u64,
-        /// Frontier entries re-queued for make-up expansion.
+        /// Claimed parents re-queued for the surviving workers.
         requeued: u64,
     },
     /// An exploration resumed from an on-disk snapshot instead of
@@ -346,7 +347,7 @@ pub enum Event<'a> {
     },
     /// A configured memory budget could not be honored by the selected
     /// configuration (reduction-active or panic-injection runs are
-    /// pinned to the in-RAM level-synchronous engine), so the run
+    /// pinned to the in-RAM engines), so the run
     /// proceeds unbounded. An explicit `mem_budget_bytes` option
     /// additionally fails the run with a precondition error; this
     /// event alone marks an environment-derived budget being dropped.

@@ -15,8 +15,8 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Shard count of every lock-striped structure in this crate (a power
 /// of two; shards are picked from a key's low bits, see [`shard_for`]).
-/// The level-synchronous, work-stealing, and parallel-spill visited
-/// sets stripe across this many locks, and the liveness engine's
+/// The work-stealing and parallel-spill visited sets stripe across
+/// this many locks, and the liveness engine's
 /// parallel reachability pass stripes its visited flags the same way.
 pub(crate) const NUM_SHARDS: usize = 64;
 
@@ -55,11 +55,6 @@ impl<T> Striped<T> {
     /// Locks stripe `i` directly.
     pub(crate) fn lock_shard(&self, i: usize) -> MutexGuard<'_, T> {
         lock(&self.shards[i])
-    }
-
-    /// Locks each stripe in shard order, one at a time.
-    pub(crate) fn iter_locked(&self) -> impl Iterator<Item = MutexGuard<'_, T>> {
-        self.shards.iter().map(lock)
     }
 
     /// Tears the striping down into the plain shard values (poison

@@ -8,8 +8,8 @@
 //! themselves (round-trip, truncation, corruption).
 
 use opentla_check::{
-    check_invariant, explore_governed_with, Budget, Engine, ExploreOptions,
-    GuardedAction, Init, Outcome, StateGraph, System, Verdict, VisitedMode,
+    check_invariant, explore_governed_with, Budget, ExploreOptions, GuardedAction, Init, Outcome,
+    StateGraph, System, Verdict, VisitedMode,
 };
 use opentla_kernel::store::{read_segment, FingerprintRun, SegmentStore, StoreError};
 use opentla_kernel::{Domain, Expr, Value, Vars};
@@ -151,30 +151,6 @@ fn spill_matches_sequential_across_matrix() {
                 _ => panic!("{label}: last-state invariant must be violated in both"),
             }
         }
-    }
-}
-
-/// Explicit [`Engine::SpillBfs`] selection forces the spill machinery
-/// even without a budget (running at the generous default) — same
-/// graphs.
-#[test]
-fn explicit_spill_engine_matches_sequential() {
-    let sys = TokenRing::new(3).complete_system().expect("ring builds");
-    for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-        let seq = explore_seq(&sys, mode);
-        let run = explore_governed_with(
-            &sys,
-            &Budget::unlimited(),
-            &ExploreOptions {
-                mode,
-                threads: Some(1),
-                engine: Engine::SpillBfs,
-                ..ExploreOptions::default()
-            },
-        )
-        .expect("spill run succeeds");
-        assert!(matches!(run.outcome, Outcome::Complete));
-        assert_identical(&format!("ring/{mode:?}/explicit"), &seq, &run.graph);
     }
 }
 

@@ -1,5 +1,5 @@
-//! Differential tests for the parallel bounded-memory engine
-//! ([`Engine::SpillWs`]): across scenarios × byte budgets × worker
+//! Differential tests for the parallel bounded-memory engine (the
+//! route of multi-threaded runs under a memory budget): across scenarios × byte budgets × worker
 //! counts × visited-set modes, its completed graphs — statistics,
 //! canonical state order, initial ids, per-state edge lists, and
 //! counterexample traces — must be byte-identical to both the
@@ -10,8 +10,8 @@
 
 use opentla_check::{
     check_invariant, explore_governed_with, explore_resumable, resume_exploration, Budget,
-    CheckError, CountingRecorder, Engine, ExploreOptions, Outcome, RecorderHandle, Reduction,
-    StateGraph, System, Verdict, VisitedMode, WorkerPanic,
+    CheckError, CountingRecorder, ExploreOptions, Outcome, RecorderHandle, Reduction, StateGraph,
+    System, Verdict, VisitedMode, WorkerPanic,
 };
 use opentla_kernel::Expr;
 use opentla_queue::{FairnessStyle, QueueChain};
@@ -85,12 +85,11 @@ fn explore_seq(sys: &System, mode: VisitedMode, fp_bits: u32) -> StateGraph {
     run.graph
 }
 
-fn spill_ws_opts(mode: VisitedMode, workers: usize, mem: Option<usize>) -> ExploreOptions {
+fn spill_ws_opts(mode: VisitedMode, workers: usize, mem: usize) -> ExploreOptions {
     ExploreOptions {
         mode,
         threads: Some(workers),
-        engine: Engine::SpillWs,
-        mem_budget_bytes: mem,
+        mem_budget_bytes: Some(mem),
         ..ExploreOptions::default()
     }
 }
@@ -138,39 +137,32 @@ fn sealed_segments(snap_path: &std::path::Path, prefix: &str) -> usize {
 }
 
 /// The acceptance matrix on the small scenarios: byte budgets tight
-/// (256 KiB), loose (4 MiB), and the engine default, at 1/2/4 workers
-/// in both visited modes, against the in-RAM sequential baseline —
-/// and, where a budget is in force, against the sequential spill
-/// engine too (which must itself match the baseline, closing the
-/// three-way identity).
+/// (256 KiB), loose (4 MiB), and generous (256 MiB, large enough that
+/// nothing seals), at 2/4 workers in both visited modes, against the
+/// in-RAM sequential baseline — and against the sequential spill
+/// engine (the 1-thread route under the same budget), which must
+/// itself match the baseline, closing the three-way identity.
 #[test]
 fn spill_ws_matches_spill_and_sequential_across_matrix() {
     for (name, sys) in systems() {
         for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
             let seq = explore_seq(&sys, mode, 64);
-            for mem in [Some(256 << 10), Some(4 << 20), None] {
-                if let Some(bytes) = mem {
-                    let spill = explore_governed_with(
-                        &sys,
-                        &Budget::unlimited(),
-                        &ExploreOptions {
-                            mode,
-                            threads: Some(1),
-                            engine: Engine::SpillBfs,
-                            mem_budget_bytes: Some(bytes),
-                            ..ExploreOptions::default()
-                        },
-                    )
-                    .expect("sequential spill run succeeds");
-                    assert!(matches!(spill.outcome, Outcome::Complete));
-                    assert_identical(
-                        &format!("{name}/{mode:?}/seq-spill@{bytes}"),
-                        &seq,
-                        &spill.graph,
-                    );
-                }
-                for workers in [1usize, 2, 4] {
-                    let label = format!("{name}/{mode:?}/mem={mem:?}/workers={workers}");
+            for mem in [256 << 10, 4 << 20, 256 << 20] {
+                let spill = explore_governed_with(
+                    &sys,
+                    &Budget::unlimited(),
+                    &ExploreOptions {
+                        mode,
+                        threads: Some(1),
+                        mem_budget_bytes: Some(mem),
+                        ..ExploreOptions::default()
+                    },
+                )
+                .expect("sequential spill run succeeds");
+                assert!(matches!(spill.outcome, Outcome::Complete));
+                assert_identical(&format!("{name}/{mode:?}/seq-spill@{mem}"), &seq, &spill.graph);
+                for workers in [2usize, 4] {
+                    let label = format!("{name}/{mode:?}/mem={mem}/workers={workers}");
                     let par = explore_spill_ws(&sys, &spill_ws_opts(mode, workers, mem));
                     assert_identical(&label, &seq, &par);
                 }
@@ -204,7 +196,7 @@ fn spill_ws_counterexample_traces_match() {
         for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
             let label = format!("{mode:?}");
             let seq = explore_seq(&sys, mode, 64);
-            let par = explore_spill_ws(&sys, &spill_ws_opts(mode, 4, Some(256 << 10)));
+            let par = explore_spill_ws(&sys, &spill_ws_opts(mode, 4, 256 << 10));
             let pred = last_state_invariant(&sys, &seq);
             let a = check_invariant(&sys, &seq, &pred).expect("seq invariant runs");
             let b = check_invariant(&sys, &par, &pred).expect("par invariant runs");
@@ -234,7 +226,7 @@ fn spill_ws_golden_chain4() {
     let run = explore_governed_with(
         &sys,
         &Budget::unlimited().with_checkpoint(&path, 1 << 30),
-        &spill_ws_opts(VisitedMode::Fingerprint, 4, Some(256 << 10)),
+        &spill_ws_opts(VisitedMode::Fingerprint, 4, 256 << 10),
     )
     .expect("parallel spill run succeeds");
     assert!(matches!(run.outcome, Outcome::Complete));
@@ -249,7 +241,7 @@ fn spill_ws_golden_chain4() {
     assert_identical("chain4/golden", &seq, &run.graph);
 
     // The loose-budget, 2-worker point of the acceptance sweep.
-    let par2 = explore_spill_ws(&sys, &spill_ws_opts(VisitedMode::Fingerprint, 2, Some(4 << 20)));
+    let par2 = explore_spill_ws(&sys, &spill_ws_opts(VisitedMode::Fingerprint, 2, 4 << 20));
     assert_identical("chain4/4MiB/2", &seq, &par2);
     remove_spill_artifacts(&path);
 }
@@ -273,24 +265,24 @@ fn spill_ws_survives_forced_collisions() {
     ] {
         // Exact mode: fp12 answers must equal full-width answers.
         let full = explore_seq(&sys, VisitedMode::Exact, 64);
-        for workers in [1usize, 4] {
+        for workers in [2usize, 4] {
             let par = explore_spill_ws(
                 &sys,
                 &ExploreOptions {
                     fp_bits: 12,
-                    ..spill_ws_opts(VisitedMode::Exact, workers, Some(32 << 10))
+                    ..spill_ws_opts(VisitedMode::Exact, workers, 32 << 10)
                 },
             );
             assert_identical(&format!("exact-fp12/workers={workers}"), &full, &par);
         }
-        // Fingerprint mode, single worker (BFS claim order): the same
-        // deterministic conflation as the sequential engine's.
+        // Fingerprint mode at one thread (the sequential spill route):
+        // the same deterministic conflation as the sequential engine's.
         let seq12 = explore_seq(&sys, VisitedMode::Fingerprint, 12);
         let par12 = explore_spill_ws(
             &sys,
             &ExploreOptions {
                 fp_bits: 12,
-                ..spill_ws_opts(VisitedMode::Fingerprint, 1, Some(32 << 10))
+                ..spill_ws_opts(VisitedMode::Fingerprint, 1, 32 << 10)
             },
         );
         assert_identical("fp12/workers=1", &seq12, &par12);
@@ -311,7 +303,7 @@ fn spill_ws_interrupt_resume_identity() {
         let label = format!("resume/{mode:?}");
         let reference = explore_seq(&sys, mode, 64);
         let total = reference.len();
-        let opts4 = spill_ws_opts(mode, 4, Some(8 << 10));
+        let opts4 = spill_ws_opts(mode, 4, 8 << 10);
         let path = snap_path("resume");
         remove_spill_artifacts(&path);
 
@@ -346,7 +338,7 @@ fn spill_ws_interrupt_resume_identity() {
             &Budget::unlimited()
                 .with_checkpoint(&path, 1 << 20)
                 .with_recorder(RecorderHandle::new(recorder.clone())),
-            &spill_ws_opts(mode, 2, Some(8 << 10)),
+            &spill_ws_opts(mode, 2, 8 << 10),
         )
         .expect("resumed run succeeds");
         assert!(matches!(resumed.outcome, Outcome::Complete));
@@ -362,7 +354,6 @@ fn spill_ws_interrupt_resume_identity() {
             &ExploreOptions {
                 mode,
                 threads: Some(1),
-                engine: Engine::SpillBfs,
                 mem_budget_bytes: Some(8 << 10),
                 ..ExploreOptions::default()
             },
@@ -415,7 +406,7 @@ fn spill_ws_resumes_a_sequential_spill_snapshot() {
     let resumed = explore_resumable(
         &sys,
         &Budget::unlimited().with_checkpoint(&path, 1 << 20),
-        &spill_ws_opts(VisitedMode::Fingerprint, 4, Some(8 << 10)),
+        &spill_ws_opts(VisitedMode::Fingerprint, 4, 8 << 10),
     )
     .expect("parallel resume succeeds");
     assert!(matches!(resumed.outcome, Outcome::Complete));
@@ -424,8 +415,7 @@ fn spill_ws_resumes_a_sequential_spill_snapshot() {
 }
 
 /// The never-silently-ignore diagnostic: configurations pinned to the
-/// in-RAM level-synchronous engine (reduction-active, panic-injection)
-/// refuse an explicit `mem_budget_bytes` with a typed
+/// in-RAM engines (reduction-active, panic-injection) refuse an explicit `mem_budget_bytes` with a typed
 /// [`CheckError::Precondition`], and the refusal is observable — a
 /// `budget_ignored` event carrying the byte count fires first.
 #[test]

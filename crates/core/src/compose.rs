@@ -6,7 +6,7 @@ use crate::{
     ObligationStatus, SpecError,
 };
 use opentla_check::{
-    check_liveness_governed, check_simulation_governed, explore_governed, Budget,
+    check_liveness_governed, check_simulation_governed, explore_governed_with, Budget,
     ExploreOptions, LiveTarget, Verdict,
 };
 use opentla_kernel::{Formula, Substitution, Vars};
@@ -14,7 +14,9 @@ use opentla_kernel::{Formula, Substitution, Vars};
 /// Options for the composition engine.
 #[derive(Clone, Debug, Default)]
 pub struct CompositionOptions {
-    /// Exploration limits for the complete system.
+    /// How the complete system is explored: threads, visited mode,
+    /// fingerprint width, memory budget. Its `max_states` narrows
+    /// `budget`.
     pub explore: ExploreOptions,
     /// Whether to check the liveness half of hypothesis 2(b). Defaults
     /// to `true`; disable only for safety-only studies.
@@ -221,7 +223,7 @@ fn build_certificate(
     let rec = budget.recorder.clone();
     let _phase =
         opentla_check::obs::PhaseGuard::enter(&rec, opentla_check::obs::Phase::Compose);
-    let exploration = explore_governed(&product, &budget)?;
+    let exploration = explore_governed_with(&product, &budget, &options.explore)?;
     let graph = &exploration.graph;
 
     let mut obligations = Vec::new();
@@ -795,5 +797,53 @@ mod tests {
         )
         .unwrap();
         assert!(cert.holds());
+    }
+
+    /// `CompositionOptions::explore` reaches the exploration: visited
+    /// mode and thread count show up in the run report.
+    #[test]
+    fn composition_explores_with_its_explore_options() {
+        use opentla_check::obs::{Event, Recorder, RunReport};
+        use opentla_check::{RecorderHandle, VisitedMode};
+        use std::sync::{Arc, Mutex};
+
+        #[derive(Default)]
+        struct Reports(Mutex<Vec<RunReport>>);
+        impl Recorder for Reports {
+            fn record(&self, event: &Event<'_>) {
+                if let Event::RunEnd { report } = event {
+                    self.0.lock().unwrap().push((*report).clone());
+                }
+            }
+        }
+
+        let (vars, ag_c, ag_d, target) = fig1_safety_setup();
+        let problem = CompositionProblem {
+            vars: &vars,
+            components: vec![&ag_c, &ag_d],
+            target: &target,
+            mapping: Substitution::default(),
+        };
+        let reports = Arc::new(Reports::default());
+        let options = CompositionOptions {
+            explore: ExploreOptions {
+                mode: VisitedMode::Exact,
+                threads: Some(2),
+                ..ExploreOptions::default()
+            },
+            budget: Budget::unlimited().with_recorder(RecorderHandle::new(reports.clone())),
+            ..CompositionOptions::default()
+        };
+        let cert = compose(&problem, &options).unwrap();
+        assert!(cert.holds(), "{}", cert.display(&vars));
+        let reports = reports.0.lock().unwrap();
+        let explored: Vec<&RunReport> = reports
+            .iter()
+            .filter(|r| r.engine.starts_with("explore_"))
+            .collect();
+        assert_eq!(explored.len(), 1, "{reports:?}");
+        assert_eq!(explored[0].mode, "exact");
+        assert_eq!(explored[0].engine, "explore_parallel");
+        assert_eq!(explored[0].threads, 2);
     }
 }

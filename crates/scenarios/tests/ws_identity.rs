@@ -1,8 +1,9 @@
-//! The work-stealing packed engine must be observationally
-//! indistinguishable from the sequential engine on every benchmark
-//! scenario: same statistics, same canonical state numbering, same
-//! initial ids, same edge lists — at every worker count and in both
-//! visited-set modes.
+//! The work-stealing packed engine — the route of every unreduced,
+//! non-checkpointing run with more than one thread — must be
+//! observationally indistinguishable from the sequential engine on
+//! every benchmark scenario: same statistics, same canonical state
+//! numbering, same initial ids, same edge lists — at every worker count
+//! and in both visited-set modes.
 //!
 //! Identity is asserted on `stats()`/`states()`/`init()`/`edges(id)`,
 //! not on whole-struct equality: the parallel engines rebuild the
@@ -10,8 +11,7 @@
 //! iteration order while holding identical contents.
 
 use opentla_check::{
-    explore_governed_with, Budget, Engine, ExploreOptions, Reduction, StateGraph,
-    VisitedMode,
+    explore_governed_with, Budget, ExploreOptions, Reduction, StateGraph, VisitedMode,
 };
 use opentla_check::System;
 use opentla_queue::{FairnessStyle, QueueChain};
@@ -40,14 +40,13 @@ fn seq_graph(system: &System) -> StateGraph {
 /// sequential baseline.
 fn assert_ws_matrix(system: &System, name: &str) {
     let seq = seq_graph(system);
-    for workers in [1usize, 2, 4] {
+    for workers in [2usize, 4] {
         for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
             let run = explore_governed_with(
                 system,
                 &Budget::unlimited(),
                 &ExploreOptions {
                     threads: Some(workers),
-                    engine: Engine::WorkStealing,
                     mode,
                     ..ExploreOptions::default()
                 },
@@ -114,7 +113,6 @@ fn ws_matches_sequential_chain4() {
         &Budget::unlimited(),
         &ExploreOptions {
             threads: Some(4),
-            engine: Engine::WorkStealing,
             ..ExploreOptions::default()
         },
     )
@@ -138,13 +136,12 @@ fn ws_exact_mode_survives_forced_collisions() {
     let seq = explore_governed_with(&system, &Budget::unlimited(), &options)
         .expect("sequential exploration succeeds")
         .graph;
-    for workers in [1usize, 4] {
+    for workers in [2usize, 4] {
         let run = explore_governed_with(
             &system,
             &Budget::unlimited(),
             &ExploreOptions {
                 threads: Some(workers),
-                engine: Engine::WorkStealing,
                 ..options.clone()
             },
         )
@@ -158,20 +155,20 @@ fn ws_exact_mode_survives_forced_collisions() {
     }
 }
 
-/// Reduced (ample-set) configurations must fall back to the
-/// level-synchronous engine — the only one implementing the cycle
-/// proviso — and produce exactly the reduced graph the level engine
-/// produces, regardless of the requested engine.
+/// Reduced (ample-set) configurations run on the sequential reduced
+/// loop — the only one implementing the cycle proviso — at every
+/// thread count, so a multi-threaded request produces exactly the
+/// single-threaded reduced graph.
 #[test]
-fn ws_falls_back_to_level_sync_under_reduction() {
+fn reduced_runs_route_to_the_sequential_loop() {
     let ring = TokenRing::new(3);
     let system = ring.complete_system().expect("ring builds");
     let reduction = Reduction::none().with_por(ring.mutual_exclusion().unprimed_vars());
-    let level = explore_governed_with(
+    let sequential = explore_governed_with(
         &system,
         &Budget::unlimited(),
         &ExploreOptions {
-            threads: Some(2),
+            threads: Some(1),
             reduction: reduction.clone(),
             ..ExploreOptions::default()
         },
@@ -182,11 +179,10 @@ fn ws_falls_back_to_level_sync_under_reduction() {
         &Budget::unlimited(),
         &ExploreOptions {
             threads: Some(2),
-            engine: Engine::WorkStealing,
             reduction,
             ..ExploreOptions::default()
         },
     )
     .expect("reduced exploration succeeds");
-    assert_graphs_identical(&level.graph, &routed.graph, "ring reduced fallback");
+    assert_graphs_identical(&sequential.graph, &routed.graph, "ring reduced routing");
 }

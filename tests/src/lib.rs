@@ -11,3 +11,19 @@ pub fn expect_holds<T: std::fmt::Debug, E: std::fmt::Display>(r: Result<T, E>) -
         Err(e) => panic!("expected the property to hold, but: {e}"),
     }
 }
+
+/// A `Write` sink shared with the test, so a recorder's output can be
+/// read back without touching the filesystem.
+#[derive(Clone)]
+pub struct SharedBuf(pub std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+impl std::io::Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}

@@ -12,9 +12,11 @@
 //! every reachable state.
 
 use opentla_check::{
-    check_invariant, explore, explore_parallel, CompiledSystem, EvalScratch, ExploreOptions,
-    StateGraph, System, VisitedMode,
+    check_invariant, explore, explore_governed_with, explore_parallel, obs::validate_stream,
+    Budget, CheckError, CompiledSystem, EvalScratch, ExploreOptions, JsonlRecorder, Reduction,
+    RecorderHandle, StateGraph, System, VisitedMode, WorkerPanic,
 };
+use opentla_integration_tests::SharedBuf;
 use opentla_kernel::Expr;
 use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{AlternatingBit, ArbiterFairness, Mutex, TokenRing};
@@ -189,6 +191,97 @@ fn forced_collisions_underapproximate_and_exact_mode_recovers() {
         )
         .unwrap();
         assert_identical("exact recovery", &full, &exact);
+    }
+}
+
+/// The routing policy as a whole: one row per line of the route table
+/// (checked top to bottom), each pinned by the engine name and thread
+/// count of its run report and by a graph byte-identical to the
+/// sequential one; plus the two refusal rows, where an explicit memory
+/// budget meets a configuration that cannot honor it.
+#[test]
+fn route_table_picks_one_engine_per_configuration() {
+    let sys = QueueChain::new(2, 1, 2, FairnessStyle::Joint)
+        .complete_system()
+        .expect("chain2 builds");
+    let seq = explore(&sys, &ExploreOptions::default()).unwrap();
+    let v0 = sys.vars().iter().next().expect("chain2 has variables");
+    let por = Reduction::none().with_por(Expr::var(v0).eq(Expr::int(0)).unprimed_vars());
+    let reduced = |threads| ExploreOptions {
+        threads: Some(threads),
+        reduction: por.clone(),
+        ..ExploreOptions::default()
+    };
+    let seq_reduced = explore(&sys, &reduced(1)).unwrap();
+    let opts = |threads, mem_budget_bytes| ExploreOptions {
+        threads: Some(threads),
+        mem_budget_bytes,
+        ..ExploreOptions::default()
+    };
+    let narrowed = |threads| ExploreOptions {
+        threads: Some(threads),
+        fp_bits: 12,
+        ..ExploreOptions::default()
+    };
+    let seq12 = explore(&sys, &narrowed(1)).unwrap();
+    let ckpt = std::env::temp_dir().join(format!("opentla_route_{}.snap", std::process::id()));
+    let _ = std::fs::remove_file(&ckpt);
+    // One exploration under a JSONL recorder: its result and the
+    // validated stream.
+    let recorded = |options: &ExploreOptions, checkpointing: bool| {
+        let buf = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let recorder = std::sync::Arc::new(JsonlRecorder::from_writer(SharedBuf(buf.clone())));
+        let mut budget = Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone()));
+        if checkpointing {
+            budget = budget.with_checkpoint(&ckpt, 1 << 30);
+        }
+        let result = explore_governed_with(&sys, &budget, options);
+        recorder.flush();
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let summary = validate_stream(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        (result, summary)
+    };
+
+    // (row, options, checkpointing budget?, engine, threads, reference)
+    let rows: Vec<(&str, ExploreOptions, bool, &str, u64, &StateGraph)> = vec![
+        ("reduction", reduced(4), false, "explore_sequential", 1, &seq_reduced),
+        ("budget, 1 thread", opts(1, Some(1 << 20)), false, "explore_spill", 1, &seq),
+        ("budget, >1 thread", opts(2, Some(1 << 20)), false, "explore_spill_ws", 2, &seq),
+        ("1 thread", opts(1, None), false, "explore_sequential", 1, &seq),
+        (">1 thread, checkpointing", opts(4, None), true, "explore_sequential", 1, &seq),
+        (">1 thread, narrowed fingerprints", narrowed(4), false, "explore_sequential", 1, &seq12),
+        (">1 thread", opts(4, None), false, "explore_parallel", 4, &seq),
+    ];
+    for (row, options, checkpointing, engine, threads, reference) in rows {
+        let (result, summary) = recorded(&options, checkpointing);
+        let run = result.expect(row);
+        assert!(run.outcome.is_complete(), "{row}: run must complete");
+        assert_identical(row, reference, &run.graph);
+        assert_eq!(summary.runs.len(), 1, "{row}: one run report");
+        assert_eq!(summary.runs[0].engine, engine, "{row}: engine");
+        assert_eq!(summary.runs[0].threads, threads, "{row}: threads");
+    }
+    let _ = std::fs::remove_file(&ckpt);
+
+    let refusals = [
+        ("reduction + explicit budget", ExploreOptions {
+            mem_budget_bytes: Some(1 << 20),
+            ..reduced(2)
+        }),
+        ("panic injection + explicit budget", ExploreOptions {
+            worker_panic: Some(WorkerPanic { after_claims: 5 }),
+            ..opts(2, Some(1 << 20))
+        }),
+    ];
+    for (row, options) in refusals {
+        let (result, summary) = recorded(&options, false);
+        let err = result.expect_err(row);
+        assert!(
+            matches!(&err, CheckError::Precondition { message } if message.contains("cannot be honored")),
+            "{row}: expected a Precondition refusal, got {err:?}"
+        );
+        assert_eq!(summary.kinds.get("budget_ignored"), Some(&1), "{row}: budget_ignored");
+        assert!(summary.runs.is_empty(), "{row}: a refused run starts no engine");
     }
 }
 

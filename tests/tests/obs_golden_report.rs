@@ -11,26 +11,10 @@ use opentla_check::{
     explore_governed_with, obs::validate_stream, obs::StreamSummary, Budget, ExploreOptions,
     JsonlRecorder, RecorderHandle, System, VisitedMode,
 };
+use opentla_integration_tests::SharedBuf;
 use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::AlternatingBit;
-use std::io::Write;
 use std::sync::{Arc, Mutex};
-
-/// A `Write` sink shared with the test, so the recorder's output can
-/// be read back without touching the filesystem.
-#[derive(Clone)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
 
 /// The engine matrix every scenario is recorded under: sequential
 /// fingerprinted, sequential exact, and 4-worker parallel.
@@ -51,10 +35,6 @@ fn recorded_stream(sys: &System) -> (String, StreamSummary) {
         let opts = ExploreOptions {
             mode,
             threads: Some(threads),
-            // The golden shape deliberately pins parallel
-            // instrumentation (worker_level events) on a tiny graph,
-            // so disable the small-graph sequential routing here.
-            small_graph_cutoff: Some(0),
             ..ExploreOptions::default()
         };
         let run = explore_governed_with(sys, &budget, &opts).expect("explores");

@@ -3,8 +3,9 @@
 //! statistics — for any randomly generated guarded-command system, the
 //! run-report totals must exactly equal the sequential engine's
 //! [`GraphStats`], and must be identical whichever engine produced
-//! them (1, 2, or 4 level-synchronous workers), because the parallel
-//! engine is an exact reformulation of sequential BFS.
+//! them (1, 2, or 4 workers; more than one runs the work-stealing
+//! engine), because the parallel engine is an exact reformulation of
+//! sequential BFS.
 
 use opentla_check::{
     explore_governed_with, Budget, CountingRecorder, ExploreOptions, GraphStats,
